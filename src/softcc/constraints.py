@@ -178,24 +178,23 @@ class Constraint:
 
     def pruned(self) -> "Constraint":
         """The same function restricted to its computed support."""
+        supp = self._supp if self._supp is not None else self.support()
+        if len(supp) == len(self.vars):
+            return self  # caching self would make a cycle only the cycle collector frees
         if self._pruned is None:
-            supp = self.support()
-            if supp == set(self.vars):
-                self._pruned = self
-            else:
-                keep = [i for i, v in enumerate(self.vars) if v in supp]
-                new_vars = tuple(self.vars[i] for i in keep)
-                s = self.system.semiring
-                new_table = {}
-                for key, val in self.table.items():
-                    nk = tuple(key[i] for i in keep)
-                    if nk not in new_table:
-                        new_table[nk] = val
-                if self.default is not None:
-                    new_table = {
-                        k: v for k, v in new_table.items() if not s.eq(v, self.default)
-                    }
-                self._pruned = Constraint(self.system, new_vars, new_table, self.default)
+            keep = [i for i, v in enumerate(self.vars) if v in supp]
+            new_vars = tuple(self.vars[i] for i in keep)
+            s = self.system.semiring
+            new_table = {}
+            for key, val in self.table.items():
+                nk = tuple(key[i] for i in keep)
+                if nk not in new_table:
+                    new_table[nk] = val
+            if self.default is not None:
+                new_table = {
+                    k: v for k, v in new_table.items() if not s.eq(v, self.default)
+                }
+            self._pruned = Constraint(self.system, new_vars, new_table, self.default)
         return self._pruned
 
     # -- canonical form and equality ----------------------------------
@@ -210,42 +209,40 @@ class Constraint:
     def canonical_key(self) -> tuple:
         """Hashable key identifying the function up to tolerance.
 
-        Pointwise-equal constraints of enumerable size get the same key;
-        beyond MAX_CANON_CELLS the key is representation-faithful instead,
-        which is still sound for deduplication.
+        Pointwise-equal constraints get the same key at every size: the
+        pruned table in sorted-variable order, with the most frequent
+        value as default (ties go to the smallest) and every other cell
+        listed.  Unlisted cells are counted, not enumerated, unless the
+        stored default loses the vote; then they number at most the
+        listed rows.
         """
         if self._canon is None:
             c = self.pruned()
             order = sorted(range(len(c.vars)), key=lambda i: c.vars[i])
             svars = tuple(c.vars[i] for i in order)
             system = c.system
-            if system.cells(len(svars)) <= 4096:
-                full = {}
+            rnd = self._round
+            table = {tuple(key[i] for i in order): rnd(val) for key, val in c.table.items()}
+            counts = {}
+            for v in table.values():
+                counts[v] = counts.get(v, 0) + 1
+            unlisted = system.cells(len(svars)) - len(table)
+            if unlisted:
+                stored = rnd(c.default)
+                counts[stored] = counts.get(stored, 0) + unlisted
+            # deterministic tie-break: highest count, then smallest value
+            top = max(counts.values())
+            default = min((v for v, n in counts.items() if n == top), key=lambda v: (isinstance(v, bool), v))
+            if unlisted and default != stored:
                 for key in itertools.product(system.domain, repeat=len(svars)):
-                    back = {v: a for v, a in zip(svars, key)}
-                    full[key] = self._round(c.eval(back))
-                counts = {}
-                for v in full.values():
-                    counts[v] = counts.get(v, 0) + 1
-                # deterministic tie-break: highest count, then smallest value
-                top = max(counts.values())
-                default = min((v for v, n in counts.items() if n == top), key=lambda v: (isinstance(v, bool), v))
-                rows = tuple(
-                    sorted(
-                        ((k, v) for k, v in full.items() if v != default),
-                        key=lambda kv: _row_key(kv[0]),
-                    )
+                    table.setdefault(key, stored)
+            rows = tuple(
+                sorted(
+                    ((k, v) for k, v in table.items() if v != default),
+                    key=lambda kv: _row_key(kv[0]),
                 )
-                self._canon = (system.semiring.kind, svars, default, rows)
-            else:
-                table = {}
-                for key, val in c.table.items():
-                    table[tuple(key[i] for i in order)] = self._round(val)
-                default = None if c.default is None else self._round(c.default)
-                if default is not None:
-                    table = {k: v for k, v in table.items() if v != default}
-                rows = tuple(sorted(table.items(), key=lambda kv: _row_key(kv[0])))
-                self._canon = (system.semiring.kind, svars, default, rows)
+            )
+            self._canon = (system.semiring.kind, svars, default, rows)
         return self._canon
 
     def __eq__(self, other) -> bool:
@@ -376,8 +373,7 @@ def oplus(c1: Constraint, c2: Constraint) -> Constraint:
         if c1.default is None and c2.default is None:
             table = {k: s.sum(v, c2.table[k]) for k, v in c1.table.items()}
             return Constraint(system, c1.vars, table)
-        d1 = c1.default if c1.default is not None else None
-        d2 = c2.default if c2.default is not None else None
+        d1, d2 = c1.default, c2.default
         keys = set(c1.table) | set(c2.table)
         table = {}
         for k in keys:
@@ -389,8 +385,6 @@ def oplus(c1: Constraint, c2: Constraint) -> Constraint:
         default = None
         if d1 is not None and d2 is not None:
             default = s.sum(d1, d2)
-        elif len(table) == system.cells(len(c1.vars)):
-            default = None
         return Constraint(system, c1.vars, table, default)
     union = _union_vars(c1, c2)
     if system.cells(len(union)) > MAX_CELLS:
@@ -570,9 +564,9 @@ def combine_project(
     intermediate tables stay near the size the factor graph demands.
     """
     keepset = set(keep)
-    work = [c.pruned() for c in factors]
-    work = [c for c in work if c.vars]
-    scalars = [c for c in (f.pruned() for f in factors) if not c.vars]
+    pruned = [c.pruned() for c in factors]
+    work = [c for c in pruned if c.vars]
+    scalars = [c for c in pruned if not c.vars]
     elim = set()
     for c in work:
         elim.update(c.vars)

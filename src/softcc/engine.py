@@ -37,6 +37,7 @@ from .constraints import (
     Constraint,
     combine_project,
     entails_witness,
+    leqc,
     strictly_below,
 )
 from .lang import (
@@ -133,8 +134,6 @@ class Store:
         got = self._entails.get(ck)
         if got is None:
             proj = combine_project(self.factors, c.vars, self.system)
-            from .constraints import leqc
-
             got = self._entails[ck] = leqc(proj, c)
         return got
 
@@ -416,9 +415,6 @@ def run_all(program: Program, limits: RunLimits = RunLimits()) -> RunResult:
     onpath: Dict[Configuration, int] = {}
     expansions = 0
 
-    def bound(depth) -> RunRecord:
-        return RunRecord("bound_exceeded", None, ())
-
     root = _Frame(init, 0, None)
     onpath[init] = 0
     root.edges = step(init, program)
@@ -471,7 +467,7 @@ def run_all(program: Program, limits: RunLimits = RunLimits()) -> RunResult:
                 _merge(f.agg, RunRecord("divergent", None, ((rule, nxt),)))
                 continue
             if f.depth + 1 >= limits.max_steps or nxt.fresh_total() > limits.max_fresh_vars:
-                _merge(f.agg, bound(f.depth + 1))
+                _merge(f.agg, RunRecord("bound_exceeded", None, ()))
                 continue
             child = _Frame(nxt, f.depth + 1, step(nxt, program))
             expansions += 1

@@ -8,6 +8,11 @@ and absorbing element 0.  The induced order a <= b iff a + b = b reads
 
 Values are plain Python scalars: bool for the boolean instance, float for
 fuzzy, probabilistic and weighted.  Instances are frozen singletons.
+
+Values are checked once, where they enter: ``Constraint`` rows and
+defaults, ``ConstraintSystem.constant``, the parser's ``const(...)`` and
+level thresholds, and the level of a ``ConsistencyCut``.  The operations
+below trust their arguments and do not check them again.
 """
 
 from __future__ import annotations
@@ -60,23 +65,15 @@ class Semiring:
 
     def sum(self, a: Value, b: Value) -> Value:
         """The + of the semiring: choice between values, lub of the order."""
-        a, b = self.check(a), self.check(b)
-        if self.kind == "boolean":
-            return a or b
-        if self.kind == "weighted":
-            return min(a, b)
-        return max(a, b)  # fuzzy, probabilistic
+        return min(a, b) if self.kind == "weighted" else max(a, b)
 
     def combine(self, a: Value, b: Value) -> Value:
         """The x of the semiring: combination of values."""
-        a, b = self.check(a), self.check(b)
-        if self.kind == "boolean":
-            return a and b
-        if self.kind == "fuzzy":
-            return min(a, b)
         if self.kind == "probabilistic":
             return a * b
-        return a + b  # weighted: costs add
+        if self.kind == "weighted":
+            return a + b  # costs add
+        return min(a, b)  # boolean, fuzzy
 
     def sum_all(self, values, start: Value | None = None) -> Value:
         acc = self.zero if start is None else start
@@ -91,12 +88,8 @@ class Semiring:
         return acc
 
     def eq(self, a: Value, b: Value) -> bool:
-        """Value equality: exact for booleans, within TOL for floats."""
-        if self.kind == "boolean":
-            return a is b or a == b
-        if a == b:  # covers inf == inf
-            return True
-        return abs(a - b) <= TOL
+        """Value equality: exact for booleans and inf, within TOL for floats."""
+        return a == b or abs(a - b) <= TOL
 
     def leq(self, a: Value, b: Value) -> bool:
         """The induced order: a <= b iff a + b = b."""

@@ -183,6 +183,134 @@ def test_canonical_key_identifies_functions():
     assert other != sparse
 
 
+# Values on a small grid, so ties and repeated values are common.
+GRID = {
+    "boolean": (False, True),
+    "fuzzy": (0.0, 0.2, 0.5, 0.8, 1.0),
+    "probabilistic": (0.0, 0.2, 0.5, 0.8, 1.0),
+    "weighted": (0.0, 0.2, 0.5, 0.8, 1.0, math.inf),
+}
+POOL = tuple(f"v{i}" for i in range(6))
+
+
+def _grid_function(system, rng):
+    """A random function, as a full table over its variables, on few grid values."""
+    ndom = len(system.domain)
+    nv = rng.randrange(0, (6 if ndom == 2 else 4) + 1)
+    vars_ = tuple(rng.sample(POOL, nv))
+    grid = GRID[system.semiring.kind]
+    values = rng.sample(grid, rng.randrange(1, min(3, len(grid)) + 1))
+    cells = list(itertools.product(system.domain, repeat=nv))
+    if rng.random() < 0.3 and len(values) > 1 and len(cells) % 2 == 0:
+        # an exact tie between the two first values
+        picks = [values[0], values[1]] * (len(cells) // 2)
+        rng.shuffle(picks)
+        return vars_, dict(zip(cells, picks))
+    return vars_, {key: rng.choice(values) for key in cells}
+
+
+def _forms(system, vars_, f, rng, seen):
+    """The function f written dense and sparse, with shuffled columns and dead ones.
+
+    Sparse defaults are every value f takes, so they win, tie or lose the
+    majority, plus one grid value f may not take at all.
+    """
+    counts = {}
+    for v in f.values():
+        counts[v] = counts.get(v, 0) + 1
+    top = max(counts.values())
+    shapes = [(dict(f), None)]
+    for d in set(counts) | {rng.choice(GRID[system.semiring.kind])}:
+        n = counts.get(d, 0)
+        if n == top:
+            seen.add("tie" if sum(m == top for m in counts.values()) > 1 else "win")
+        elif n:
+            seen.add("lose")
+        # rows equal to the default may stay listed too
+        table = {k: v for k, v in f.items() if v != d or rng.random() < 0.3}
+        shapes.append((table, d))
+    out = []
+    for table, d in shapes:
+        vs = vars_
+        if rng.random() < 0.5:
+            dead = rng.choice([v for v in POOL if v not in vars_] or ["dead"])
+            vs = vars_ + (dead,)
+            table = {k + (a,): v for k, v in table.items() for a in system.domain}
+        perm = rng.sample(range(len(vs)), len(vs))
+        out.append(
+            Constraint(
+                system,
+                tuple(vs[i] for i in perm),
+                {tuple(k[i] for i in perm): v for k, v in table.items()},
+                d,
+            )
+        )
+    return out
+
+
+def _same_function(c1, c2):
+    """Pointwise equality by enumerating the union of supports."""
+    s = c1.system.semiring
+    union = sorted(set(c1.vars) | set(c2.vars))
+    for key in itertools.product(c1.system.domain, repeat=len(union)):
+        env = dict(zip(union, key))
+        if not s.eq(c1.eval(env), c2.eval(env)):
+            return False
+    return True
+
+
+def test_canonical_key_exact_on_random_forms():
+    rng = random.Random(2024)
+    seen = set()
+    outcomes = {True: 0, False: 0}
+    for s in ALL_SEMIRINGS:
+        for system in (ConstraintSystem(s, ("a", "b")), ConstraintSystem(s, ("a", "b", "c"))):
+            for _ in range(40):
+                vars_, f = _grid_function(system, rng)
+                r = rng.random()
+                if r < 0.3:
+                    gvars, g = vars_, dict(f)
+                elif r < 0.7:
+                    gvars, g = vars_, dict(f)
+                    cell = rng.choice(list(g))
+                    g[cell] = rng.choice([v for v in GRID[s.kind] if v != g[cell]])
+                else:
+                    gvars, g = _grid_function(system, rng)
+                fs = _forms(system, vars_, f, rng, seen)
+                gs = _forms(system, gvars, g, rng, seen)
+                pairs = [(a, b) for a in fs for b in fs] + [
+                    (rng.choice(fs), rng.choice(gs)) for _ in range(6)
+                ]
+                for c1, c2 in pairs:
+                    same = _same_function(c1, c2)
+                    outcomes[same] += 1
+                    assert (c1.canonical_key() == c2.canonical_key()) == same, (c1, c2)
+                    assert pointwise_eq(c1, c2) == same
+                    if same:
+                        assert hash(c1) == hash(c2)
+    # every default shape and both answers were exercised
+    assert seen == {"win", "tie", "lose"}
+    assert min(outcomes.values()) > 100
+
+
+def test_canonical_key_exact_beyond_4096_cells():
+    # 13 variables over two atoms: 8192 cells, every variable in the support
+    sys2 = crossword_system()
+    vars_ = tuple(f"x{i}" for i in range(13))
+    top = ("a",) * 13
+    dense = Constraint(
+        sys2,
+        vars_,
+        {key: (1.0 if key == top else 0.0) for key in itertools.product(sys2.domain, repeat=13)},
+    )
+    sparse = Constraint(sys2, tuple(reversed(vars_)), {top: 1.0}, default=0.0)
+    assert dense.support() == frozenset(vars_)
+    assert dense.canonical_key() == sparse.canonical_key()
+    assert dense == sparse and hash(dense) == hash(sparse)
+    assert pointwise_eq(dense, sparse)
+    assert dense != Constraint(sys2, vars_, {top: 0.5}, default=0.0)
+
+
 # -- golden values ------------------------------------------------------
 
 

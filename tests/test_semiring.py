@@ -9,11 +9,18 @@ from softcc import (
     ALL_SEMIRINGS,
     BOOLEAN,
     CarrierError,
+    ConsistencyCut,
+    Constraint,
+    ConstraintSystem,
     FUZZY,
     PROBABILISTIC,
+    Problem,
+    ProgramError,
     TOL,
     WEIGHTED,
     by_name,
+    consistent,
+    parse_program,
 )
 
 N = 1200
@@ -140,6 +147,34 @@ def test_carrier_validation():
     WEIGHTED.check(math.inf)
     FUZZY.check(0.0)
     FUZZY.check(1.0)
+
+
+def _fuzzy_problem():
+    system = ConstraintSystem(FUZZY, ("a", "b"))
+    return Problem(system, (Constraint(system, ("x",), {("a",): 0.5}, default=0.0),), ("x",))
+
+
+# Every place a value enters the library checks it; the operations do not.
+ENTRY_POINTS = {
+    "constant": lambda: ConstraintSystem(FUZZY, ("a",)).constant(1.5),
+    "default": lambda: Constraint(ConstraintSystem(FUZZY, ("a",)), ("x",), {}, default=1.5),
+    "const-in-agent": lambda: parse_program(
+        "semiring fuzzy;\ndomain {a};\nvar x;\nagent = tell(const(1.5)) -> stop;\n"
+    ),
+    "level-threshold": lambda: parse_program(
+        "semiring fuzzy;\ndomain {a};\nvar x;\nagent = tell(const(0.5)) ->^1.5 stop;\n"
+    ),
+    "consistency-level": lambda: consistent(_fuzzy_problem(), ConsistencyCut(level=1.5)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_values_checked_on_entry(entry):
+    with pytest.raises((CarrierError, ProgramError)):
+        ENTRY_POINTS[entry]()
+    # checked values pass through the boolean operations unchanged
+    assert BOOLEAN.combine(True, True) is True
+    assert BOOLEAN.sum(False, False) is False
 
 
 def test_by_name():
