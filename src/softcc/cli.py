@@ -268,6 +268,10 @@ def main(argv=None) -> int:
     except (ProgramError, ConstraintError, EngineError, ObserveError) as e:
         print(f"scc: error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # agent hashing and the validator still recurse once per nested agent
+        print("scc: error: program is nested too deeply to process", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ The algebra: ``tensor`` combines pointwise with x, ``oplus`` with +,
 ``leqc`` is the induced constraint order, and ``entails`` asks whether a
 set of constraints forces another one.  ``combine_project`` combines a
 factor list and projects in one pass via variable elimination so the full
-joint table never needs to exist.
+joint table never needs to exist; the factors of each bucket join in
+factor order.  Every operation that walks the cells of a joint table does
+so through ``_cells``.
 """
 
 from __future__ import annotations
@@ -288,12 +290,19 @@ def _indices(sub: Sequence[str], into: Sequence[str]):
     return [pos[v] for v in sub]
 
 
-def _dense_eval(c: Constraint, union: Sequence[str], key: tuple) -> Value:
-    idx = _indices(c.vars, union)
-    got = c.table.get(tuple(key[i] for i in idx), c.default)
-    if got is None:
-        raise IncompleteConstraintError("hole in dense table")
-    return got
+def _cells(constraints: Sequence[Constraint], union: Sequence[str], what: str):
+    """Every assignment of union, in product order, with each constraint's value there.
+
+    Yields ``(key, values)``.  A dense constraint lists every tuple, so no
+    value is ever missing.
+    """
+    system = constraints[0].system
+    n = len(union)
+    if system.cells(n) > MAX_CELLS:
+        raise TooLargeError(f"{what} over {n} variables is too large")
+    looks = [(c.table, c.default, _indices(c.vars, union)) for c in constraints]
+    for key in itertools.product(system.domain, repeat=n):
+        yield key, [t.get(tuple([key[i] for i in idx]), d) for t, d, idx in looks]
 
 
 def rename(c: Constraint, mapping: Mapping[str, str]) -> Constraint:
@@ -344,11 +353,7 @@ def tensor(c1: Constraint, c2: Constraint) -> Constraint:
                     continue
                 table[key1 + tuple(key2[i] for i in extra2)] = v
         return Constraint(system, union, table, zero)
-    if system.cells(len(union)) > MAX_CELLS:
-        raise TooLargeError(f"tensor over {len(union)} variables is too large")
-    table = {}
-    for key in itertools.product(system.domain, repeat=len(union)):
-        table[key] = s.combine(_dense_eval(c1, union, key), _dense_eval(c2, union, key))
+    table = {key: s.combine(v1, v2) for key, (v1, v2) in _cells((c1, c2), union, "tensor")}
     return Constraint(system, union, table)
 
 
@@ -377,21 +382,13 @@ def oplus(c1: Constraint, c2: Constraint) -> Constraint:
         keys = set(c1.table) | set(c2.table)
         table = {}
         for k in keys:
-            v1 = c1.table.get(k, d1)
-            v2 = c2.table.get(k, d2)
-            if v1 is None or v2 is None:
-                raise IncompleteConstraintError("hole in dense table")
-            table[k] = s.sum(v1, v2)
+            table[k] = s.sum(c1.table.get(k, d1), c2.table.get(k, d2))
         default = None
         if d1 is not None and d2 is not None:
             default = s.sum(d1, d2)
         return Constraint(system, c1.vars, table, default)
     union = _union_vars(c1, c2)
-    if system.cells(len(union)) > MAX_CELLS:
-        raise TooLargeError(f"oplus over {len(union)} variables is too large")
-    table = {}
-    for key in itertools.product(system.domain, repeat=len(union)):
-        table[key] = s.sum(_dense_eval(c1, union, key), _dense_eval(c2, union, key))
+    table = {key: s.sum(v1, v2) for key, (v1, v2) in _cells((c1, c2), union, "oplus")}
     return Constraint(system, union, table)
 
 
@@ -424,11 +421,8 @@ def project(c: Constraint, keep: Iterable[str]) -> Constraint:
         zero = s.zero
         groups = {k: v for k, v in groups.items() if not s.eq(v, zero)}
         return Constraint(system, new_vars, groups, zero)
-    if system.cells(len(c.vars)) > MAX_CELLS:
-        raise TooLargeError("projection source too large to enumerate")
     groups = {}
-    for key in itertools.product(system.domain, repeat=len(c.vars)):
-        val = c.table.get(key, c.default)
+    for key, (val,) in _cells((c,), c.vars, "projection"):
         nk = tuple(key[i] for i in keep_idx)
         groups[nk] = s.sum(groups[nk], val) if nk in groups else val
     return Constraint(system, new_vars, groups)
@@ -437,10 +431,6 @@ def project(c: Constraint, keep: Iterable[str]) -> Constraint:
 def hide(c: Constraint, x: str) -> Constraint:
     """Existential quantification of one variable: project onto the rest."""
     return project(c, [v for v in c.vars if v != x])
-
-
-def _enumerable(system: ConstraintSystem, union: Sequence[str], limit: int = MAX_CELLS) -> bool:
-    return system.cells(len(union)) <= limit
 
 
 def _sparse_leq(c1: Constraint, c2: Constraint):
@@ -491,44 +481,35 @@ def _sparse_leq(c1: Constraint, c2: Constraint):
     return True
 
 
-def pointwise_eq(c1: Constraint, c2: Constraint) -> bool:
-    """Equality as functions of the full variable set, within tolerance."""
-    if c1.canonical_key() == c2.canonical_key():
-        return True
-    system = c1.system
-    s = system.semiring
-    union = _union_vars(c1, c2)
-    if not _enumerable(system, union):
-        below = _sparse_leq(c1, c2)
-        above = _sparse_leq(c2, c1)
-        if below is None or above is None:
-            raise TooLargeError("pointwise comparison too large to enumerate")
-        return below and above
-    for key in itertools.product(system.domain, repeat=len(union)):
-        if not s.eq(_dense_eval(c1, union, key), _dense_eval(c2, union, key)):
-            return False
-    return True
-
-
 def leqc(c1: Constraint, c2: Constraint) -> bool:
     """The constraint order: c1 below c2 iff c1 + c2 = c2 pointwise."""
     system = c1.system
-    s = system.semiring
     union = _union_vars(c1, c2)
-    if not _enumerable(system, union):
+    if system.cells(len(union)) > MAX_CELLS:
         got = _sparse_leq(c1, c2)
         if got is None:
             raise TooLargeError("order comparison too large to enumerate")
         return got
-    for key in itertools.product(system.domain, repeat=len(union)):
-        if not s.leq(_dense_eval(c1, union, key), _dense_eval(c2, union, key)):
-            return False
-    return True
+    leq = system.semiring.leq
+    return all(leq(v1, v2) for _, (v1, v2) in _cells((c1, c2), union, "order comparison"))
+
+
+def pointwise_eq(c1: Constraint, c2: Constraint) -> bool:
+    """Equality as functions of the full variable set, within tolerance.
+
+    The carriers are chains, so two values are equal exactly when each is
+    below the other; equality is the order checked both ways.
+    """
+    return c1.canonical_key() == c2.canonical_key() or (leqc(c1, c2) and leqc(c2, c1))
 
 
 def strictly_below(c1: Constraint, c2: Constraint) -> bool:
     """c1 below c2 and not pointwise equal; false for incomparable pairs."""
-    return leqc(c1, c2) and not pointwise_eq(c1, c2)
+    return (
+        leqc(c1, c2)
+        and c1.canonical_key() != c2.canonical_key()
+        and not leqc(c2, c1)
+    )
 
 
 def glb(constraints: Sequence[Constraint], system: ConstraintSystem) -> Constraint:
@@ -539,14 +520,12 @@ def glb(constraints: Sequence[Constraint], system: ConstraintSystem) -> Constrai
     union: tuple = ()
     for c in constraints:
         union = union + tuple(v for v in c.vars if v not in union)
-    if not _enumerable(system, union):
-        raise TooLargeError("glb too large to enumerate")
     table = {}
-    for key in itertools.product(system.domain, repeat=len(union)):
-        best = None
-        for c in constraints:
-            v = _dense_eval(c, union, key)
-            best = v if best is None or s.leq(v, best) else best
+    for key, vals in _cells(constraints, union, "glb"):
+        best = vals[0]
+        for v in vals[1:]:
+            if s.leq(v, best):
+                best = v
         table[key] = best
     return Constraint(system, union, table)
 
@@ -561,7 +540,10 @@ def combine_project(
 
     Equivalent to project(tensor_all(factors), keep) but eliminates one
     variable at a time, joining only the factors that touch it, so the
-    intermediate tables stay near the size the factor graph demands.
+    intermediate tables stay near the size the factor graph demands.  The
+    elimination order picks the variable with the narrowest bucket; within
+    a bucket, and for what is left at the end, factors join in the order
+    given, since any join order yields the same table.
     """
     keepset = set(keep)
     pruned = [c.pruned() for c in factors]
@@ -583,32 +565,11 @@ def combine_project(
                 best_v, best_cost = v, cost
         touched = [c for c in work if best_v in c.vars]
         rest = [c for c in work if best_v not in c.vars]
-        joined = _greedy_fold(touched, system)
+        joined = tensor_all(touched, system)
         summed = project(joined, [v for v in joined.vars if v != best_v])
         work = rest + [summed.pruned()]
         elim.discard(best_v)
-    result = _greedy_fold(work + scalars, system)
-    return result
-
-
-def _greedy_fold(factors: Sequence[Constraint], system: ConstraintSystem) -> Constraint:
-    """tensor-fold a factor list, preferring joins with most shared variables."""
-    pool = list(factors)
-    if not pool:
-        return system.constant(system.semiring.one)
-    while len(pool) > 1:
-        best = None
-        for i in range(len(pool)):
-            for j in range(i + 1, len(pool)):
-                shared = len(set(pool[i].vars) & set(pool[j].vars))
-                load = len(pool[i].table) * max(1, len(pool[j].table))
-                score = (-shared, load)
-                if best is None or score < best[0]:
-                    best = (score, i, j)
-        _, i, j = best
-        joined = tensor(pool[i], pool[j])
-        pool = [c for k, c in enumerate(pool) if k not in (i, j)] + [joined]
-    return pool[0]
+    return tensor_all(work + scalars, system)
 
 
 # -- entailment --------------------------------------------------------
@@ -633,20 +594,15 @@ def entails_witness(
     """
     if entails(constraints, c):
         return None
-    system = constraints[0].system
-    s = system.semiring
+    s = constraints[0].system.semiring
     union = []
     for f in constraints:
         union.extend(v for v in f.vars if v not in union)
     union.extend(v for v in c.vars if v not in union)
     union = sorted(union)
-    if not _enumerable(system, union):
-        raise TooLargeError("witness search too large to enumerate")
-    for key in itertools.product(system.domain, repeat=len(union)):
-        env = dict(zip(union, key))
-        combined = s.combine_all(f.eval(env) for f in constraints)
-        if not s.leq(combined, c.eval(env)):
-            return env
+    for key, vals in _cells([*constraints, c], union, "witness search"):
+        if not s.leq(s.combine_all(vals[:-1]), vals[-1]):
+            return dict(zip(union, key))
     return None
 
 

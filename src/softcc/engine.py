@@ -107,7 +107,8 @@ class Store:
             if self.system.cells(nvars) <= _POINTWISE_CELLS:
                 self._key = ("pw", self.materialize().canonical_key())
             else:
-                self._key = ("fs", tuple(sorted(self._keyset, key=repr)))
+                keys = (f.canonical_key() for f in self.factors)
+                self._key = ("fs", tuple(sorted(keys, key=repr)))
         return self._key
 
     def __eq__(self, other):

@@ -392,14 +392,19 @@ class _Parser:
         raise ParseError(f"expected an agent, found {t.value!r}", t.pos)
 
     def tellask(self) -> Agent:
-        kw = self.next()  # tell or ask
-        self.expect("(")
-        con = self.cexpr()
-        self.expect(")")
-        arrow = self.arrow()
+        # An arrow chain is read in a loop, so its length is not bounded by
+        # the recursion limit.
+        links = []
+        while self.at_kw("tell") or self.at_kw("ask"):
+            kw = self.next()
+            self.expect("(")
+            con = self.cexpr()
+            self.expect(")")
+            links.append((Tell if kw.value == "tell" else Ask, con, self.arrow(), kw.pos))
         body = self.agent_atom()
-        node = Tell if kw.value == "tell" else Ask
-        return node(con, arrow, body, kw.pos)
+        for node, con, arrow, pos in reversed(links):
+            body = node(con, arrow, body, pos)
+        return body
 
     def arrow(self):
         self.expect("->")

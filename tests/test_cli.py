@@ -36,6 +36,14 @@ def run_main(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def arrow_chain(links):
+    return (
+        "semiring fuzzy;\ndomain {a, b};\nvar x;\n"
+        "constraint c(x) { (a) = 0.5; (b) = 0.7; }\n"
+        "agent = " + " -> ".join(["tell(c(x))"] * links) + " -> stop;\n"
+    )
+
+
 # -- check ---------------------------------------------------------------
 
 
@@ -44,6 +52,30 @@ def test_check_ok(capsys):
     assert code == 0
     assert out.strip() == "ok"
     assert err == ""
+
+
+def test_check_long_arrow_chain(tmp_path, capsys):
+    # the parser reads arrow chains in a loop, not one frame per link
+    code, out, err = run_main(capsys, "check", write(tmp_path, arrow_chain(600)))
+    assert (code, out.strip(), err) == (0, "ok", "")
+
+
+def test_too_deep_program_is_a_clean_error(tmp_path):
+    path = write(tmp_path, arrow_chain(1000))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    got = subprocess.run(
+        [sys.executable, "-m", "softcc.cli", "run", path],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert got.returncode == 1
+    assert got.stderr.startswith("scc: error:")
+    assert "Traceback" not in got.stderr
+    assert len(got.stderr.strip().splitlines()) == 1
 
 
 def test_check_duplicate_proc(capsys):

@@ -518,8 +518,13 @@ def test_combine_project_matches_naive():
     for system in small_systems():
         rng = random.Random(hash(("cp", system.semiring.kind, len(system.domain))) & 0xFFFF)
         for _ in range(15):
-            factors = [rand_constraint(system, rng) for _ in range(rng.randrange(1, 5))]
-            for keep in ([], ["x"], ["x", "y"]):
+            # four variables and up to six factors of at most three each, so
+            # buckets often hold factors that share nothing
+            factors = [
+                rand_constraint(system, rng, pool=("x", "y", "z", "w"))
+                for _ in range(rng.randrange(1, 7))
+            ]
+            for keep in ([], ["x"], ["x", "y"], ["x", "y", "z"], ["x", "y", "z", "w"]):
                 fast = combine_project(factors, keep, system)
                 slow = project(tensor_all(factors, system), keep)
                 assert pointwise_eq(fast, slow)
@@ -578,6 +583,18 @@ def test_wide_sparse_order_and_strictness():
     twin = Constraint(system, vs, {r: 0.3 for r in rows}, default=0.0)
     assert pointwise_eq(low, twin)
     assert not strictly_below(low, twin)
+
+
+def test_wide_sparse_equality_answers_from_one_direction():
+    # c2 is nonzero off its rows, so c2 below c1 has no row-wise check; c1
+    # below c2 fails at the listed row, and that settles equality
+    system = crossword_system()
+    vs = wide_vars()
+    row = wide_rows()[0]
+    c1 = Constraint(system, vs, {row: 0.8}, default=0.0)
+    c2 = Constraint(system, vs, {row: 0.3}, default=0.5)
+    assert not pointwise_eq(c1, c2)
+    assert not strictly_below(c1, c2)
 
 
 def test_wide_sparse_against_scalars():

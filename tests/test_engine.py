@@ -353,6 +353,25 @@ def test_store_key_regimes():
     assert t1 == t2  # fuzzy: min(0.7, 0.5) = 0.5 pointwise
 
 
+def test_store_key_counts_repeated_factors():
+    # x is not idempotent here, so each tell of c lowers the store and no
+    # state repeats.  Six variables over two atoms fit the pointwise key;
+    # over five atoms (15625 cells) the store is keyed by its factors, and
+    # c told twice must not look like c told once.
+    for semiring in ("weighted", "probabilistic"):
+        for domain in ("a, b", "a, b, c, d, e"):
+            p = parse_program(
+                f"semiring {semiring};\ndomain {{{domain}}};\n"
+                "var x1, x2, x3, x4, x5, x6;\n"
+                "constraint big(x1, x2, x3, x4, x5, x6) { (a, a, a, a, a, a) = 0.5; default = 0; }\n"
+                "constraint c(x) { (a) = 0.5; (b) = 0.7; default = 0.6; }\n"
+                "proc p(x) :: tell(c(x)) -> p(x);\n"
+                "agent = tell(big) -> p(x1);\n"
+            )
+            res = run_one(p, limits=RunLimits(max_steps=50))
+            assert (res.kind, res.steps) == ("bound_exceeded", 50), (semiring, domain)
+
+
 def test_store_monotone_along_every_trace():
     extra = "constraint c(x) { (a) = 0.9; (b) = 0.4; }\n"
     programs = [
