@@ -269,7 +269,7 @@ def main(argv=None) -> int:
         print(f"scc: error: {e}", file=sys.stderr)
         return 1
     except RecursionError:
-        # agent hashing and the validator still recurse once per nested agent
+        # the parser recurses per nested ( … || … ) or exists (~490), a step too (~990)
         print("scc: error: program is nested too deeply to process", file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .semiring import Semiring, Value
+from .semiring import Semiring, Value, quantize
 
 Atom = Union[str, int]
 
@@ -201,15 +201,8 @@ class Constraint:
 
     # -- canonical form and equality ----------------------------------
 
-    def _round(self, v: Value) -> Value:
-        if isinstance(v, bool):
-            return v
-        if v == float("inf"):
-            return v
-        return round(v, 9)
-
     def canonical_key(self) -> tuple:
-        """Hashable key identifying the function up to tolerance.
+        """Hashable key identifying the function, values on the ``quantize`` grid.
 
         Pointwise-equal constraints get the same key at every size: the
         pruned table in sorted-variable order, with the most frequent
@@ -223,14 +216,13 @@ class Constraint:
             order = sorted(range(len(c.vars)), key=lambda i: c.vars[i])
             svars = tuple(c.vars[i] for i in order)
             system = c.system
-            rnd = self._round
-            table = {tuple(key[i] for i in order): rnd(val) for key, val in c.table.items()}
+            table = {tuple(key[i] for i in order): quantize(val) for key, val in c.table.items()}
             counts = {}
             for v in table.values():
                 counts[v] = counts.get(v, 0) + 1
             unlisted = system.cells(len(svars)) - len(table)
             if unlisted:
-                stored = rnd(c.default)
+                stored = quantize(c.default)
                 counts[stored] = counts.get(stored, 0) + unlisted
             # deterministic tie-break: highest count, then smallest value
             top = max(counts.values())

@@ -251,28 +251,19 @@ def _moves(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
         return [], [("choice-hang", c) for _, c in hangs]
 
     if isinstance(agent, Par):
-        lm, lh = _moves(agent.left, store, fresh, program)
-        rm, rh = _moves(agent.right, store, fresh, program)
         out: List[_Move] = []
-        for mv in lm:
-            if mv.kind == "success":
-                out.append(_Move(mv.rule, "run", agent.right, mv.store, mv.fresh))
-            elif mv.kind == "run":
-                out.append(
-                    _Move(mv.rule, "run", Par(mv.agent, agent.right), mv.store, mv.fresh)
-                )
-            else:
+        hangs = []
+        for i, (side, other) in enumerate(((agent.left, agent.right), (agent.right, agent.left))):
+            moves, waiting = _moves(side, store, fresh, program)
+            hangs += waiting
+            for mv in moves:
+                if mv.kind == "success":  # continue as the other side
+                    mv = _Move(mv.rule, "run", other, mv.store, mv.fresh)
+                elif mv.kind == "run":
+                    pair = (mv.agent, other) if i == 0 else (other, mv.agent)
+                    mv = _Move(mv.rule, "run", Par(*pair), mv.store, mv.fresh)
                 out.append(mv)
-        for mv in rm:
-            if mv.kind == "success":
-                out.append(_Move(mv.rule, "run", agent.left, mv.store, mv.fresh))
-            elif mv.kind == "run":
-                out.append(
-                    _Move(mv.rule, "run", Par(agent.left, mv.agent), mv.store, mv.fresh)
-                )
-            else:
-                out.append(mv)
-        return out, lh + rh
+        return out, hangs
 
     if isinstance(agent, Exists):
         base = agent.var

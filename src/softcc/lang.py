@@ -11,12 +11,20 @@ blocks a tell.  Level carries a semiring value compared against the best
 level of the store.  Cut carries a whole constraint compared against the
 store itself.  Eventual behaves exactly like Level(zero) and like
 Cut(constant zero).
+
+Every syntax node is hash-consed: its class returns the live node with
+the same fields if there is one, so equal nodes are one object, equality
+is identity, and the hash is computed once, from the children's.  The
+parser keeps source positions aside.  Every walker over agents is built
+on ``walk``, a pre-order iterator, or ``rebuild``, a bottom-up map; both
+keep an explicit stack, so depth costs no recursion.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 from . import constraints as C
 from .constraints import Constraint, ConstraintSystem
@@ -33,33 +41,73 @@ class ProgramError(ValueError):
         self.pos = pos
 
 
+# -- hash-consed nodes --------------------------------------------------
+
+# process-wide, so equal agents are one object wherever they were built;
+# weak, so it keeps no node alive
+_live: "weakref.WeakValueDictionary[tuple, Node]" = weakref.WeakValueDictionary()
+
+
+def _key(v):
+    # a value keeps its type, so true and 1 stay apart; a constraint keeps
+    # its domain, as the same table over another domain is another function
+    if isinstance(v, bool):
+        return ("bool", v)
+    if isinstance(v, Constraint):
+        return (v.system.domain, v)
+    return v
+
+
+class Node:
+    """An immutable syntax node.  Its class is its one constructor, which
+    returns the live node with the same class and fields if there is one."""
+
+    __slots__ = ("_hash", "__weakref__")
+    _fields: Tuple[str, ...] = ()
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes fields {cls._fields}, got {fields!r}")
+        key = (cls.__name__,) + tuple(map(_key, fields))
+        node = _live.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, fields):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_hash", hash(key))
+            _live[key] = node
+        return node
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
 # -- constraint references inside agents --------------------------------
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(Node):
     """A named constraint applied to variables; args None means bare use."""
 
-    name: str
-    args: Optional[Tuple[str, ...]]
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
+    __slots__ = _fields = ("name", "args")
 
 
-@dataclass(frozen=True)
-class DiagRef:
+class DiagRef(Node):
     """The built-in equality constraint between two variables."""
 
-    x: str
-    y: str
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
+    __slots__ = _fields = ("x", "y")
 
 
-@dataclass(frozen=True)
-class ConstRef:
+class ConstRef(Node):
     """A constant constraint with empty support."""
 
-    value: Value
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
+    __slots__ = _fields = ("value",)
 
 
 CExpr = Union[Ref, DiagRef, ConstRef]
@@ -68,22 +116,18 @@ CExpr = Union[Ref, DiagRef, ConstRef]
 # -- thresholds ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Eventual:
-    pass
+class Eventual(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Level:
-    value: Value
+class Level(Node):
+    __slots__ = _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Cut:
-    constraint: Optional[Constraint]
-    name: Optional[str] = None
-    # set by the branch-and-bound transform; never part of identity
-    raised: bool = field(default=False, compare=False)
+class Cut(Node):
+    """A constraint threshold; ``raised`` marks one raised by the cut."""
+
+    __slots__ = _fields = ("constraint", "name", "raised")
 
 
 Threshold = Union[Eventual, Level, Cut]
@@ -92,57 +136,100 @@ Threshold = Union[Eventual, Level, Cut]
 # -- agents -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stop:
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
+class Stop(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Tell:
-    con: CExpr
-    threshold: Threshold
-    body: "Agent"
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
+class Tell(Node):
+    __slots__ = _fields = ("con", "threshold", "body")
 
 
-@dataclass(frozen=True)
-class Ask:
-    con: CExpr
-    threshold: Threshold
-    body: "Agent"
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
+class Ask(Node):
+    __slots__ = _fields = ("con", "threshold", "body")
 
 
-@dataclass(frozen=True)
-class Sum:
-    """Guarded choice; every branch is an Ask."""
+class Sum(Node):
+    """Guarded choice over a tuple of branches; every branch is an Ask."""
 
-    branches: Tuple[Ask, ...]
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
+    __slots__ = _fields = ("branches",)
 
 
-@dataclass(frozen=True)
-class Par:
-    left: "Agent"
-    right: "Agent"
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
+class Par(Node):
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Agent"
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
+class Exists(Node):
+    __slots__ = _fields = ("var", "body")
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: Tuple[str, ...]
-    pos: Optional[Tuple[int, int]] = field(default=None, compare=False, repr=False)
+class Call(Node):
+    __slots__ = _fields = ("name", "args")
 
 
 Agent = Union[Stop, Tell, Ask, Sum, Par, Exists, Call]
+
+
+def children(a: Agent) -> tuple:
+    if isinstance(a, (Tell, Ask, Exists)):
+        return (a.body,)
+    if isinstance(a, Par):
+        return (a.left, a.right)
+    if isinstance(a, Sum):
+        return a.branches
+    return ()
+
+
+def with_children(a: Agent, kids) -> Agent:
+    """The agent a with its children replaced, in ``children`` order."""
+    if isinstance(a, (Tell, Ask)):
+        return type(a)(a.con, a.threshold, *kids)
+    if isinstance(a, Exists):
+        return Exists(a.var, *kids)
+    if isinstance(a, Par):
+        return Par(*kids)
+    if isinstance(a, Sum):
+        return Sum(tuple(kids))
+    return a
+
+
+# -- the walk -----------------------------------------------------------
+
+
+def walk(agent: Agent, expand: Callable = children):
+    """Every node under an agent, in pre-order, left to right; ``expand(node)``
+    lists what follows a node in place of its children, strings included."""
+    todo = [agent]
+    while todo:
+        item = todo.pop()
+        yield item
+        if isinstance(item, Node):
+            todo.extend(reversed(expand(item)))
+
+
+def rebuild(agent: Agent, leave: Callable, enter: Optional[Callable] = None, ctx=None):
+    """Map an agent bottom-up: ``leave(node, ctx, kids)`` returns the node's
+    result from its children's.  ``enter(node, ctx)`` runs first, in
+    pre-order, and returns the context the node's ``leave`` and its
+    children see; None keeps the node as it is, without looking below."""
+    done: list = []  # results of finished subtrees, left to right
+    todo = [(agent, ctx, None)]
+    while todo:
+        node, c, n = todo.pop()
+        if n is not None:  # the node's n children are done
+            kids = done[len(done) - n :]
+            del done[len(done) - n :]
+            done.append(leave(node, c, kids))
+            continue
+        if enter is not None:
+            c = enter(node, c)
+            if c is None:
+                done.append(node)
+                continue
+        kids = children(node)
+        todo.append((node, c, len(kids)))
+        for k in reversed(kids):
+            todo.append((k, c, None))
+    return done[0]
 
 
 # -- free variables and substitution ------------------------------------
@@ -156,37 +243,32 @@ def _cexpr_vars(e: CExpr) -> frozenset:
     return frozenset()
 
 
+def _free_vars(a: Agent, _, kids) -> frozenset:
+    if isinstance(a, (Tell, Ask)):
+        return kids[0] | _cexpr_vars(a.con)
+    if isinstance(a, Exists):
+        return kids[0] - {a.var}
+    if isinstance(a, Call):
+        return frozenset(a.args)
+    return frozenset().union(*kids)
+
+
 def free_vars(agent: Agent) -> frozenset:
     """Variables an agent mentions in told/asked constraints and call args.
 
     Threshold constraints do not count: cutting an agent must not change
     what its observables are projected onto.
     """
-    if isinstance(agent, Stop):
-        return frozenset()
-    if isinstance(agent, (Tell, Ask)):
-        return _cexpr_vars(agent.con) | free_vars(agent.body)
-    if isinstance(agent, Sum):
-        out = frozenset()
-        for b in agent.branches:
-            out |= free_vars(b)
-        return out
-    if isinstance(agent, Par):
-        return free_vars(agent.left) | free_vars(agent.right)
-    if isinstance(agent, Exists):
-        return free_vars(agent.body) - {agent.var}
-    if isinstance(agent, Call):
-        return frozenset(agent.args)
-    raise TypeError(f"not an agent: {agent!r}")
+    return rebuild(agent, _free_vars)
 
 
 def _subst_cexpr(e: CExpr, mapping: Dict[str, str]) -> CExpr:
     if isinstance(e, Ref):
         if e.args is None:
             return e
-        return Ref(e.name, tuple(mapping.get(a, a) for a in e.args), e.pos)
+        return Ref(e.name, tuple(mapping.get(a, a) for a in e.args))
     if isinstance(e, DiagRef):
-        return DiagRef(mapping.get(e.x, e.x), mapping.get(e.y, e.y), e.pos)
+        return DiagRef(mapping.get(e.x, e.x), mapping.get(e.y, e.y))
     return e
 
 
@@ -197,48 +279,33 @@ def _alpha_fresh(base: str, forbidden) -> str:
     return f"{base}#r{i}"
 
 
+def _subst_enter(a: Agent, mapping: Dict[str, str]) -> Optional[Dict[str, str]]:
+    if not isinstance(a, Exists):
+        return mapping
+    inner = {k: v for k, v in mapping.items() if k != a.var}
+    if a.var in inner.values():
+        # the binder would capture an incoming name: rename it as well
+        forbidden = set(free_vars(a.body)) | set(inner.values()) | set(inner)
+        inner[a.var] = _alpha_fresh(a.var, forbidden)
+    return inner or None
+
+
+def _subst_leave(a: Agent, mapping: Dict[str, str], kids) -> Agent:
+    if isinstance(a, (Tell, Ask)):
+        return type(a)(_subst_cexpr(a.con, mapping), a.threshold, *kids)
+    if isinstance(a, Exists):
+        return Exists(mapping.get(a.var, a.var), *kids)
+    if isinstance(a, Call):
+        return Call(a.name, tuple(mapping.get(x, x) for x in a.args))
+    return with_children(a, kids)
+
+
 def substitute(agent: Agent, mapping: Dict[str, str]) -> Agent:
     """Simultaneous capture-avoiding substitution of variables for variables."""
     mapping = {k: v for k, v in mapping.items() if k != v}
     if not mapping:
         return agent
-    if isinstance(agent, Stop):
-        return agent
-    if isinstance(agent, Tell):
-        return Tell(
-            _subst_cexpr(agent.con, mapping),
-            agent.threshold,
-            substitute(agent.body, mapping),
-            agent.pos,
-        )
-    if isinstance(agent, Ask):
-        return Ask(
-            _subst_cexpr(agent.con, mapping),
-            agent.threshold,
-            substitute(agent.body, mapping),
-            agent.pos,
-        )
-    if isinstance(agent, Sum):
-        return Sum(tuple(substitute(b, mapping) for b in agent.branches), agent.pos)
-    if isinstance(agent, Par):
-        return Par(
-            substitute(agent.left, mapping), substitute(agent.right, mapping), agent.pos
-        )
-    if isinstance(agent, Exists):
-        inner = {k: v for k, v in mapping.items() if k != agent.var}
-        if not inner:
-            return agent
-        body, binder = agent.body, agent.var
-        if binder in inner.values():
-            # the binder would capture an incoming name: rename it first
-            forbidden = set(free_vars(body)) | set(inner.values()) | set(inner)
-            renamed = _alpha_fresh(binder, forbidden)
-            body = substitute(body, {binder: renamed})
-            binder = renamed
-        return Exists(binder, substitute(body, inner), agent.pos)
-    if isinstance(agent, Call):
-        return Call(agent.name, tuple(mapping.get(a, a) for a in agent.args), agent.pos)
-    raise TypeError(f"not an agent: {agent!r}")
+    return rebuild(agent, _subst_leave, _subst_enter, mapping)
 
 
 # -- pretty printing ----------------------------------------------------
@@ -274,23 +341,24 @@ def _pp_arrow(t: Threshold) -> str:
     return f"->[{t.name}]"
 
 
+def _pp_parts(a: Agent) -> tuple:
+    if isinstance(a, Stop):
+        return ("stop",)
+    if isinstance(a, (Tell, Ask)):
+        word = type(a).__name__.lower()
+        return (f"{word}({_pp_cexpr(a.con)}) {_pp_arrow(a.threshold)} ", a.body)
+    if isinstance(a, Sum):
+        return tuple(x for b in a.branches for x in (" + ", b))[1:]
+    if isinstance(a, Par):
+        return ("(", a.left, " || ", a.right, ")")
+    if isinstance(a, Exists):
+        return (f"exists {a.var} . ", a.body)
+    return (f"{a.name}({', '.join(a.args)})",)
+
+
 def pretty(agent: Agent) -> str:
     """Deterministic one-line rendering that the parser reads back."""
-    if isinstance(agent, Stop):
-        return "stop"
-    if isinstance(agent, Tell):
-        return f"tell({_pp_cexpr(agent.con)}) {_pp_arrow(agent.threshold)} {pretty(agent.body)}"
-    if isinstance(agent, Ask):
-        return f"ask({_pp_cexpr(agent.con)}) {_pp_arrow(agent.threshold)} {pretty(agent.body)}"
-    if isinstance(agent, Sum):
-        return " + ".join(pretty(b) for b in agent.branches)
-    if isinstance(agent, Par):
-        return f"({pretty(agent.left)} || {pretty(agent.right)})"
-    if isinstance(agent, Exists):
-        return f"exists {agent.var} . {pretty(agent.body)}"
-    if isinstance(agent, Call):
-        return f"{agent.name}({', '.join(agent.args)})"
-    raise TypeError(f"not an agent: {agent!r}")
+    return "".join(x for x in walk(agent, _pp_parts) if isinstance(x, str))
 
 
 # -- templates, declarations, programs ----------------------------------
@@ -337,22 +405,26 @@ class Program:
         self._resolve_cache: Dict = {}
         self._bases: Dict[str, Constraint] = {}
 
+    def ref_args(self, e: Ref) -> Tuple[str, ...]:
+        """A reference's arguments, checked against its template; a bare
+        reference takes the template's own parameters."""
+        tpl = self.templates.get(e.name)
+        if tpl is None:
+            raise ProgramError(f"unknown constraint {e.name!r}")
+        args = e.args if e.args is not None else tpl.params
+        if len(args) != len(tpl.params):
+            raise ProgramError(
+                f"constraint {e.name!r} takes {len(tpl.params)} arguments, got {len(args)}"
+            )
+        return args
+
     def resolve(self, e: CExpr) -> Constraint:
         """Turn a constraint reference into an actual constraint."""
-        key = e if not isinstance(e, Ref) else (e.name, e.args)
-        got = self._resolve_cache.get(key)
+        got = self._resolve_cache.get(e)
         if got is not None:
             return got
         if isinstance(e, Ref):
-            tpl = self.templates.get(e.name)
-            if tpl is None:
-                raise ProgramError(f"unknown constraint {e.name!r}", e.pos)
-            args = e.args if e.args is not None else tpl.params
-            if len(args) != len(tpl.params):
-                raise ProgramError(
-                    f"constraint {e.name!r} takes {len(tpl.params)} arguments, got {len(args)}",
-                    e.pos,
-                )
+            args, tpl = self.ref_args(e), self.templates[e.name]
             base = self._bases.get(e.name)
             if base is None:
                 base = self._bases[e.name] = tpl.base_constraint(self.system)
@@ -361,12 +433,10 @@ class Program:
             got = self.system.diagonal(e.x, e.y)
         else:
             got = self.system.constant(e.value)
-        self._resolve_cache[key] = got
+        self._resolve_cache[e] = got
         return got
 
-    def threshold_constraint(self, t: Threshold) -> Optional[Constraint]:
-        if isinstance(t, Cut):
-            if t.constraint is None:
-                raise ProgramError(f"unresolved cut threshold {t.name!r}")
-            return t.constraint
-        return None
+    def threshold_constraint(self, t: Cut) -> Constraint:
+        if t.constraint is None:
+            raise ProgramError(f"unresolved cut threshold {t.name!r}")
+        return t.constraint

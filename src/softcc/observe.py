@@ -25,18 +25,16 @@ from .engine import RunLimits, RunRecord, RunResult, iter_runs, run_all
 from .lang import (
     Agent,
     Ask,
-    Call,
     Cut,
     Eventual,
-    Exists,
     Level,
-    Par,
     Program,
-    Stop,
-    Sum,
     Tell,
     format_value,
     free_vars,
+    rebuild,
+    walk,
+    with_children,
 )
 
 
@@ -135,63 +133,37 @@ def dk_solution(program: Program, limits: RunLimits = RunLimits()) -> Constraint
 # -- the cut transformation ---------------------------------------------
 
 
-def _cut_threshold(t, psi: Constraint, psi_is_zero: bool):
-    if isinstance(t, Cut):
-        if strictly_below(t.constraint, psi):
-            return Cut(psi, None, raised=True)
-        return t
-    if isinstance(t, Eventual):
-        # an eventual action is one whose threshold is the bottom
-        # constraint, so a nonzero bound always raises it
-        if not psi_is_zero:
-            return Cut(psi, None, raised=True)
-        return t
-    return t  # Level thresholds are out of the cut's scope
+def _cut_leave(psi: Constraint):
+    """The rebuild step of the cut for bound psi."""
+    zero = psi.system.constant(psi.system.semiring.zero)
+    psi_is_zero = pointwise_eq(psi, zero)
+    raised = Cut(psi, None, True)
 
+    def leave(a: Agent, _, kids) -> Agent:
+        if not isinstance(a, (Tell, Ask)):
+            return with_children(a, kids)
+        t = a.threshold
+        # an eventual threshold is the bottom constraint, so a nonzero
+        # bound raises it; Level thresholds are out of the cut's scope
+        if isinstance(t, Cut) and strictly_below(t.constraint, psi) or (
+            isinstance(t, Eventual) and not psi_is_zero
+        ):
+            t = raised
+        return type(a)(a.con, t, *kids)
 
-def _cut_rec(a: Agent, psi: Constraint, psi_is_zero: bool) -> Agent:
-    if isinstance(a, Stop):
-        return a
-    if isinstance(a, Tell):
-        return replace(
-            a,
-            threshold=_cut_threshold(a.threshold, psi, psi_is_zero),
-            body=_cut_rec(a.body, psi, psi_is_zero),
-        )
-    if isinstance(a, Ask):
-        return replace(
-            a,
-            threshold=_cut_threshold(a.threshold, psi, psi_is_zero),
-            body=_cut_rec(a.body, psi, psi_is_zero),
-        )
-    if isinstance(a, Sum):
-        return Sum(tuple(_cut_rec(b, psi, psi_is_zero) for b in a.branches))
-    if isinstance(a, Par):
-        return Par(_cut_rec(a.left, psi, psi_is_zero), _cut_rec(a.right, psi, psi_is_zero))
-    if isinstance(a, Exists):
-        return replace(a, body=_cut_rec(a.body, psi, psi_is_zero))
-    if isinstance(a, Call):
-        return a
-    raise ObserveError(f"not an agent: {a!r}")
+    return leave
 
 
 def cut_agent(a: Agent, psi: Constraint) -> Agent:
     """Raise every constraint threshold strictly below psi up to psi."""
-    zero = psi.system.constant(psi.system.semiring.zero)
-    return _cut_rec(a, psi, pointwise_eq(psi, zero))
+    return rebuild(a, _cut_leave(psi))
 
 
 def cut_program(program: Program, psi: Constraint) -> Program:
     """cut_agent over the main agent and every procedure body."""
-    zero = psi.system.constant(psi.system.semiring.zero)
-    psi_is_zero = pointwise_eq(psi, zero)
-    decls = {
-        name: replace(d, body=_cut_rec(d.body, psi, psi_is_zero))
-        for name, d in program.decls.items()
-    }
-    return replace(
-        program, decls=decls, main=_cut_rec(program.main, psi, psi_is_zero)
-    )
+    leave = _cut_leave(psi)
+    decls = {name: replace(d, body=rebuild(d.body, leave)) for name, d in program.decls.items()}
+    return replace(program, decls=decls, main=rebuild(program.main, leave))
 
 
 # -- branch and bound ----------------------------------------------------
@@ -202,20 +174,6 @@ class BBStats:
     iterations: int = 0  # number of times the bound was raised
     runs_pruned: int = 0  # runs that failed at a raised threshold
     runs_explored: int = 0  # maximal runs enumerated across all restarts
-
-
-def _thresholds(a: Agent):
-    if isinstance(a, (Tell, Ask)):
-        yield a.threshold
-        yield from _thresholds(a.body)
-    elif isinstance(a, Sum):
-        for b in a.branches:
-            yield from _thresholds(b)
-    elif isinstance(a, Par):
-        yield from _thresholds(a.left)
-        yield from _thresholds(a.right)
-    elif isinstance(a, Exists):
-        yield from _thresholds(a.body)
 
 
 def solve_bb(
@@ -231,13 +189,11 @@ def solve_bb(
     if program.main is None:
         raise ObserveError("program has no agent to run")
     agents = [program.main] + [d.body for d in program.decls.values()]
-    for a in agents:
-        for t in _thresholds(a):
-            if isinstance(t, Level):
-                raise ObserveError(
-                    "branch and bound handles constraint thresholds only; "
-                    "a semiring-level threshold cannot be raised to a bound"
-                )
+    if any(isinstance(getattr(n, "threshold", None), Level) for a in agents for n in walk(a)):
+        raise ObserveError(
+            "branch and bound handles constraint thresholds only; "
+            "a semiring-level threshold cannot be raised to a bound"
+        )
     system = program.system
     obs = observation_vars(program)
     psi = system.constant(system.semiring.zero)

@@ -24,8 +24,7 @@ built-ins diag(x, y) and const(VALUE).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .constraints import _row_key
 from .lang import (
@@ -50,6 +49,8 @@ from .lang import (
     format_value,
     free_vars,
     pretty,
+    rebuild,
+    with_children,
 )
 from .semiring import CarrierError, by_name
 
@@ -63,8 +64,7 @@ class ParseError(ProgramError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, FLOAT, or the punctuation itself
     value: object
     line: int
@@ -149,6 +149,12 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
+        # each node's first position in the text, for error messages
+        self.where: Dict[object, Tuple[int, int]] = {}
+
+    def placed(self, node, tok: Token):
+        self.where.setdefault(node, tok.pos)
+        return node
 
     # -- token plumbing -------------------------------------------------
 
@@ -294,7 +300,7 @@ class _Parser:
             main=main,
             interest=interest,
         )
-        return _validate(raw)
+        return _validate(raw, self.where)
 
     def constraintdef(self) -> Template:
         kw = self.expect_kw("constraint")
@@ -360,27 +366,27 @@ class _Parser:
         for b in branches:
             if not isinstance(b, Ask):
                 raise ParseError("choice branches must be ask-guarded", pos)
-        return Sum(tuple(branches), branches[0].pos)
+        return Sum(tuple(branches))
 
     def agent_atom(self) -> Agent:
         t = self.peek()
         if t.kind == "IDENT":
             if t.value == "stop":
                 self.next()
-                return Stop(t.pos)
+                return Stop()
             if t.value in ("tell", "ask"):
                 return self.tellask()
             if t.value == "exists":
                 self.next()
                 var = self.ident("variable").value
                 self.expect(".")
-                return Exists(var, self.agent(), t.pos)
+                return Exists(var, self.agent())
             if t.value not in KEYWORDS:
                 name = self.next()
                 self.expect("(")
                 args = self.varlist(allow_empty=True, close=")")
                 self.expect(")")
-                return Call(name.value, args, name.pos)
+                return self.placed(Call(name.value, args), name)
             raise ParseError(f"unexpected {t.value!r} in agent", t.pos)
         if t.kind == "(":
             self.next()
@@ -388,7 +394,7 @@ class _Parser:
             self.expect("||")
             right = self.agent()
             self.expect(")")
-            return Par(left, right, t.pos)
+            return Par(left, right)
         raise ParseError(f"expected an agent, found {t.value!r}", t.pos)
 
     def tellask(self) -> Agent:
@@ -400,10 +406,10 @@ class _Parser:
             self.expect("(")
             con = self.cexpr()
             self.expect(")")
-            links.append((Tell if kw.value == "tell" else Ask, con, self.arrow(), kw.pos))
+            links.append((Tell if kw.value == "tell" else Ask, con, self.arrow(), kw))
         body = self.agent_atom()
-        for node, con, arrow, pos in reversed(links):
-            body = node(con, arrow, body, pos)
+        for node, con, arrow, kw in reversed(links):
+            body = self.placed(node(con, arrow, body), kw)
         return body
 
     def arrow(self):
@@ -415,7 +421,7 @@ class _Parser:
             self.next()
             name = self.ident("constraint name")
             self.expect("]")
-            return Cut(None, name.value)
+            return Cut(None, name.value, False)
         return Eventual()
 
     def cexpr(self):
@@ -429,13 +435,13 @@ class _Parser:
             self.expect(",")
             y = self.ident("variable").value
             self.expect(")")
-            return DiagRef(x, y, t.pos)
+            return DiagRef(x, y)
         if t.value == "const":
             self.next()
             self.expect("(")
             v = self.value()
             self.expect(")")
-            return ConstRef(v, t.pos)
+            return self.placed(ConstRef(v), t)
         if t.value in KEYWORDS:
             raise ParseError(f"unexpected {t.value!r} in constraint position", t.pos)
         name = self.next()
@@ -443,21 +449,19 @@ class _Parser:
             self.next()
             args = self.varlist(allow_empty=True, close=")")
             self.expect(")")
-            return Ref(name.value, args, name.pos)
-        return Ref(name.value, None, name.pos)
+            return self.placed(Ref(name.value, args), name)
+        return self.placed(Ref(name.value, None), name)
 
 
 # -- validation and resolution ------------------------------------------
 
 
-def _validate(p: Program) -> Program:
+def _validate(p: Program, where: Dict[object, Tuple[int, int]]) -> Program:
     seen = set()
     for v in p.variables:
         if v in seen:
             raise ProgramError(f"duplicate variable {v!r}")
         seen.add(v)
-        if "#" in v:
-            raise ProgramError(f"variable {v!r} uses the reserved character '#'")
 
     for name in set(p.templates) & set(p.decls):
         raise ProgramError(f"{name!r} names both a constraint and a proc")
@@ -471,36 +475,23 @@ def _validate(p: Program) -> Program:
         except ValueError as e:
             raise ProgramError(f"constraint {tpl.name!r}: {e}", tpl.pos) from None
 
+    def located(pos, fn, *args):  # fn's own errors, reported at pos
+        try:
+            return fn(*args)
+        except (ProgramError, CarrierError) as err:
+            raise ProgramError(str(err), pos) from None
+
     def fix_cexpr(e):
-        if isinstance(e, Ref):
-            tpl = p.templates.get(e.name)
-            if tpl is None:
-                raise ProgramError(f"unknown constraint {e.name!r}", e.pos)
-            args = e.args
-            if args is None:
-                args = tpl.params  # bare use: the template on its own parameters
-            if len(args) != len(tpl.params):
-                raise ProgramError(
-                    f"constraint {e.name!r} takes {len(tpl.params)} arguments, "
-                    f"got {len(args)}",
-                    e.pos,
-                )
-            return Ref(e.name, tuple(args), e.pos)
         if isinstance(e, ConstRef):
-            try:
-                p.semiring.check(e.value)
-            except CarrierError as err:
-                raise ProgramError(str(err), e.pos) from None
+            located(where.get(e), p.semiring.check, e.value)
+        if isinstance(e, Ref):
+            return Ref(e.name, located(where.get(e), p.ref_args, e))
         return e
 
     def fix_threshold(t, pos):
         if isinstance(t, Level):
-            try:
-                p.semiring.check(t.value)
-            except CarrierError as err:
-                raise ProgramError(str(err), pos) from None
-            return t
-        if isinstance(t, Cut) and t.constraint is None:
+            located(pos, p.semiring.check, t.value)
+        elif isinstance(t, Cut) and t.constraint is None:
             tpl = p.templates.get(t.name)
             if tpl is None:
                 raise ProgramError(f"unknown cut constraint {t.name!r}", pos)
@@ -510,43 +501,33 @@ def _validate(p: Program) -> Program:
                 raise ProgramError(
                     f"cut constraint {t.name!r} mentions undeclared {sorted(extra)}", pos
                 )
-            return Cut(con, t.name)
+            return Cut(con, t.name, False)
         return t
 
-    def fix_agent(a):
-        if isinstance(a, Stop):
-            return a
-        if isinstance(a, Tell):
-            return Tell(fix_cexpr(a.con), fix_threshold(a.threshold, a.pos), fix_agent(a.body), a.pos)
-        if isinstance(a, Ask):
-            return Ask(fix_cexpr(a.con), fix_threshold(a.threshold, a.pos), fix_agent(a.body), a.pos)
-        if isinstance(a, Sum):
-            return Sum(tuple(fix_agent(b) for b in a.branches), a.pos)
-        if isinstance(a, Par):
-            return Par(fix_agent(a.left), fix_agent(a.right), a.pos)
-        if isinstance(a, Exists):
-            if "#" in a.var:
-                raise ProgramError(f"variable {a.var!r} uses the reserved character '#'", a.pos)
-            return Exists(a.var, fix_agent(a.body), a.pos)
+    def check(a, _):
+        # pre-order, so the text's first error is reported; returns a tell's or ask's fixed parts
+        pos = where.get(a)
+        if isinstance(a, (Tell, Ask)):
+            return fix_cexpr(a.con), fix_threshold(a.threshold, pos)
         if isinstance(a, Call):
             d = p.decls.get(a.name)
             if d is None:
-                raise ProgramError(f"unknown proc {a.name!r}", a.pos)
+                raise ProgramError(f"unknown proc {a.name!r}", pos)
             if len(a.args) != len(d.params):
                 raise ProgramError(
-                    f"proc {a.name!r} takes {len(d.params)} arguments, got {len(a.args)}",
-                    a.pos,
+                    f"proc {a.name!r} takes {len(d.params)} arguments, got {len(a.args)}", pos
                 )
-            return a
-        raise ProgramError(f"not an agent: {a!r}")
+        return ()
+
+    def fix(a, fixed, kids):
+        if isinstance(a, (Tell, Ask)):
+            return type(a)(*fixed, *kids)
+        return with_children(a, kids)
 
     for d in p.decls.values():
         if len(set(d.params)) != len(d.params):
             raise ProgramError(f"proc {d.name!r} repeats a parameter", d.pos)
-        for v in d.params:
-            if "#" in v:
-                raise ProgramError(f"variable {v!r} uses the reserved character '#'", d.pos)
-        d.body = fix_agent(d.body)
+        d.body = rebuild(d.body, fix, check)
         loose = free_vars(d.body) - set(d.params)
         if loose:
             raise ProgramError(
@@ -555,7 +536,7 @@ def _validate(p: Program) -> Program:
             )
 
     if p.main is not None:
-        p.main = fix_agent(p.main)
+        p.main = rebuild(p.main, fix, check)
         loose = free_vars(p.main) - set(p.variables)
         if loose:
             raise ProgramError(f"agent mentions undeclared variables {sorted(loose)}")

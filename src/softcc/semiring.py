@@ -23,9 +23,17 @@ from typing import Union
 
 Value = Union[bool, float]
 
-# Float comparisons throughout the library use this tolerance; booleans
-# compare exactly.
+# Floats are compared on a grid of this spacing; booleans and inf compare
+# exactly.
 TOL = 1e-9
+
+
+def quantize(v: Value) -> Value:
+    """The grid point a value stands for, the nearest multiple of TOL.  Value
+    equality and ``Constraint.canonical_key`` both go through it."""
+    if isinstance(v, bool) or not -1e290 < v < 1e290:
+        return v  # inf, and floats too large to divide by TOL, far apart anyway
+    return round(v / TOL)
 
 
 class CarrierError(ValueError):
@@ -88,8 +96,9 @@ class Semiring:
         return acc
 
     def eq(self, a: Value, b: Value) -> bool:
-        """Value equality: exact for booleans and inf, within TOL for floats."""
-        return a == b or abs(a - b) <= TOL
+        """Value equality: the same grid point under ``quantize``."""
+        # values more than 2 TOL apart never share a grid point
+        return a == b or (abs(a - b) <= 2 * TOL and quantize(a) == quantize(b))
 
     def leq(self, a: Value, b: Value) -> bool:
         """The induced order: a <= b iff a + b = b."""

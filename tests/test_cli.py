@@ -60,18 +60,32 @@ def test_check_long_arrow_chain(tmp_path, capsys):
     assert (code, out.strip(), err) == (0, "ok", "")
 
 
-def test_too_deep_program_is_a_clean_error(tmp_path):
-    path = write(tmp_path, arrow_chain(1000))
+def run_subprocess(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    got = subprocess.run(
-        [sys.executable, "-m", "softcc.cli", "run", path],
+    return subprocess.run(
+        [sys.executable, "-m", "softcc.cli", *args],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def test_run_long_arrow_chain(tmp_path):
+    got = run_subprocess("run", write(tmp_path, arrow_chain(10_000)))
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.startswith("terminal: success")
+
+
+def test_too_deep_program_is_a_clean_error(tmp_path):
+    # nested parallel composition is still read one frame per level
+    text = (
+        "semiring fuzzy;\ndomain {a, b};\nvar x;\n"
+        "agent = " + "(stop || " * 2000 + "stop" + ")" * 2000 + ";\n"
+    )
+    got = run_subprocess("run", write(tmp_path, text))
     assert got.returncode == 1
     assert got.stderr.startswith("scc: error:")
     assert "Traceback" not in got.stderr

@@ -311,6 +311,32 @@ def test_canonical_key_exact_beyond_4096_cells():
     assert dense != Constraint(sys2, vars_, {top: 0.5}, default=0.0)
 
 
+def test_key_equality_matches_pointwise_eq_across_a_rounding_boundary():
+    # a hair apart across a grid boundary, and a hair apart within one cell:
+    # keys, ==, hashing and pointwise_eq must all give the same answer
+    sys2 = crossword_system()
+    for lo, hi, same in (
+        (0.1234567894999, 0.1234567895001, False),
+        (0.1234567894001, 0.1234567894999, True),
+        (0.5, 0.5 + 1e-12, True),
+    ):
+        for default in (None, 0.3):
+            rows = {("b",): 0.3} if default is None else {}
+            c1 = Constraint(sys2, ("x",), {("a",): lo, **rows}, default)
+            c2 = Constraint(sys2, ("x",), {("a",): hi, **rows}, default)
+            assert FUZZY.eq(lo, hi) == same
+            assert pointwise_eq(c1, c2) == same
+            assert (c1.canonical_key() == c2.canonical_key()) == same
+            assert (c1 == c2) == same
+            assert len({c1, c2}) == (1 if same else 2)
+    # costs too large to divide by the grid spacing stand for themselves
+    big = ConstraintSystem(WEIGHTED, ("a", "b"))
+    c1 = Constraint(big, ("x",), {("a",): 1e300, ("b",): math.inf})
+    c2 = Constraint(big, ("x",), {("a",): 1e300, ("b",): 2e300})
+    assert c1 == Constraint(big, ("x",), {("a",): 1e300}, default=math.inf)
+    assert not pointwise_eq(c1, c2) and c1.canonical_key() != c2.canonical_key()
+
+
 # -- golden values ------------------------------------------------------
 
 
@@ -370,7 +396,7 @@ def test_constraint_semiring_laws():
     cases = 0
     for system in small_systems():
         s = system.semiring
-        rng = random.Random(hash((s.kind, len(system.domain))) & 0xFFFF)
+        rng = random.Random(repr((s.kind, len(system.domain))))
         zero_c = system.constant(s.zero)
         one_c = system.constant(s.one)
         for _ in range(30):
@@ -420,7 +446,7 @@ def test_hide_axioms():
     cases3 = 0
     for system in small_systems():
         s = system.semiring
-        rng = random.Random(hash(("hide", s.kind, len(system.domain))) & 0xFFFF)
+        rng = random.Random(repr(("hide", s.kind, len(system.domain))))
         for _ in range(30):
             c = rand_constraint(system, rng)
             c1 = rand_constraint(system, rng)
@@ -477,7 +503,7 @@ def test_projection_laws():
 def test_diagonal_axioms():
     for system in small_systems():
         s = system.semiring
-        rng = random.Random(hash(("diag", s.kind, len(system.domain))) & 0xFFFF)
+        rng = random.Random(repr(("diag", s.kind, len(system.domain))))
         dxx = system.diagonal("x", "x")
         assert pointwise_eq(dxx, system.constant(s.one))
         dxy = system.diagonal("x", "y")
@@ -516,7 +542,7 @@ def test_rename():
 
 def test_combine_project_matches_naive():
     for system in small_systems():
-        rng = random.Random(hash(("cp", system.semiring.kind, len(system.domain))) & 0xFFFF)
+        rng = random.Random(repr(("cp", system.semiring.kind, len(system.domain))))
         for _ in range(15):
             # four variables and up to six factors of at most three each, so
             # buckets often hold factors that share nothing
@@ -651,7 +677,7 @@ def test_oplus_zero_function_is_the_unit():
 def test_glb_is_pointwise_min():
     for system in small_systems():
         s = system.semiring
-        rng = random.Random(hash(("glb", s.kind, len(system.domain))) & 0xFFFF)
+        rng = random.Random(repr(("glb", s.kind, len(system.domain))))
         for _ in range(10):
             cs = [rand_constraint(system, rng) for _ in range(3)]
             g = glb(cs, system)
@@ -677,7 +703,7 @@ def test_glb_is_pointwise_min():
 
 def test_entailment_reflexive_in_any_semiring():
     for system in small_systems():
-        rng = random.Random(hash(("refl", system.semiring.kind)) & 0xFFFF)
+        rng = random.Random(repr(("refl", system.semiring.kind)))
         for _ in range(20):
             cs = [rand_constraint(system, rng) for _ in range(rng.randrange(1, 4))]
             for c in cs:
@@ -688,7 +714,7 @@ def test_entailment_reflexive_in_any_semiring():
 def test_entailment_transitive_when_combination_idempotent():
     for sr in IDEMPOTENT:
         system = ConstraintSystem(sr, ("a", "b"))
-        rng = random.Random(hash(("trans", sr.kind)) & 0xFFFF)
+        rng = random.Random(repr(("trans", sr.kind)))
         checked = 0
         for _ in range(1200):
             c1 = [rand_constraint(system, rng, max_vars=2) for _ in range(2)]
@@ -724,7 +750,7 @@ def test_entails_empty_set_rejected():
 def test_entailment_monotone_in_the_set():
     for sr in IDEMPOTENT:
         system = ConstraintSystem(sr, ("a", "b"))
-        rng = random.Random(hash(("mono", sr.kind)) & 0xFFFF)
+        rng = random.Random(repr(("mono", sr.kind)))
         hits = 0
         for _ in range(400):
             cs = [rand_constraint(system, rng, max_vars=2) for _ in range(2)]

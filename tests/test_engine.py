@@ -16,6 +16,7 @@ from softcc import (
     leqc,
     parse_program,
     pointwise_eq,
+    pretty_program,
     run_all,
     run_one,
     step,
@@ -445,3 +446,34 @@ def test_run_one_policy_validation():
         run_one(p, "random")  # no seed
     with pytest.raises(EngineError):
         run_one(p, "fastest")
+
+
+# -- deep programs: no walker recurses once per agent node ---------------
+
+
+def tell_chain(links):
+    return " -> ".join(["tell(c(x))"] * links)
+
+
+DEEP_EXTRA = "constraint c(x) { (a) = 0.5; (b) = 0.7; }\n"
+
+
+def test_long_arrow_chain_parses_prints_and_runs():
+    p = prog(tell_chain(10_000) + " -> stop", DEEP_EXTRA)
+    text = pretty_program(p)
+    assert text.count("tell(c(x)) ->") == 10_000
+    again = parse_program(text)
+    assert again.main is p.main  # interned: the same object
+    assert pretty_program(again) == text
+    one = run_one(p)
+    assert one.kind == "success" and one.steps == 10_001
+    result = run_all(p)
+    assert single(result, "success").paths == 1
+    assert result.total_runs == 1
+
+
+def test_deep_recursive_proc_is_divergent():
+    p = prog("p(y)", DEEP_EXTRA + f"proc p(x) :: {tell_chain(2000)} -> p(x);\n")
+    assert run_one(p).kind == "divergent"
+    result = run_all(p)
+    assert [r.kind for r in result.records] == ["divergent"]

@@ -146,6 +146,28 @@ def test_comments_and_whitespace():
     assert parse_program(text).main == Stop()
 
 
+def test_nodes_are_interned():
+    extra = "constraint c(x) { default = 0.5; }\n"
+    a = parse_agent("(tell(c(x)) -> stop || ask(const(1)) -> stop)", extra)
+    assert a is parse_agent("(tell(c(x)) -> stop || ask(const(1)) -> stop)", extra)
+    assert a.left is Tell(Ref("c", ("x",)), Eventual(), Stop())
+    assert hash(a) == hash(Par(a.left, a.right))
+    # values keep their type, and the cut's raised flag is part of identity
+    assert ConstRef(True) is not ConstRef(1.0) and Level(True) is not Level(1)
+    c = parse_program(HEADER + extra).resolve(Ref("c", ("x",)))
+    assert Cut(c, None, True) is not Cut(c, None, False)
+    assert Cut(c, None, True).raised and not Cut(c, None, False).raised
+    with pytest.raises(AttributeError):
+        a.left = Stop()
+
+
+def test_error_position_is_per_parse():
+    # a live program holding the same node does not lend it its position
+    ok = parse_program(HEADER + "proc q(u) :: stop;\n\n\nagent = q(x);\n")
+    bad(HEADER + "agent = q(x);\n", "unknown proc", line=4)
+    assert ok.main == Call("q", ("x",))
+
+
 # -- validation errors, with positions -----------------------------------
 
 
