@@ -22,16 +22,21 @@ is classified Hang only when nothing anywhere can step.
 
 ``run_all`` explores every maximal run depth-first, deduplicating
 structurally identical configurations, detecting on-path repetition as
-divergence, and counting maximal runs exactly.  ``iter_runs`` yields the
-runs one by one in leftmost order.  ``run_one`` follows a single run
-under a leftmost or seeded random policy.
+divergence, and counting maximal runs exactly as path enumeration does.
+Its memo is exact: a configuration is memoised only when none of its runs
+met an on-path repeat or the step bound, with its height (the steps down
+to its deepest running configuration), and reused at depth d only while
+d + height stays below the step bound.  ``iter_runs`` yields the runs one
+by one in leftmost order.  ``run_one`` follows a single run under a
+leftmost or seeded random policy.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .constraints import (
     Constraint,
@@ -144,7 +149,9 @@ class Store:
         return entails_witness(list(factors), c)
 
     def below_cut(self, phi: Constraint) -> bool:
-        return strictly_below(self.materialize(), phi)
+        # only a store that entails phi can lie below it, and entailment
+        # needs no joint table
+        return self.entails(phi) and strictly_below(self.materialize(), phi)
 
     def project(self, keep) -> Constraint:
         return combine_project(self.factors, keep, self.system)
@@ -341,7 +348,7 @@ class RunRecord:
     config: Optional[Configuration]
     trace: Tuple[Tuple[str, Configuration], ...]
     paths: int = 1
-    pruned: bool = False
+    pruned: int = 0  # how many of the paths failed at a threshold the cut raised
 
     @property
     def steps(self) -> int:
@@ -366,16 +373,18 @@ def _record_key(rec: RunRecord):
 
 
 class _Frame:
-    __slots__ = ("cfg", "depth", "edges", "idx", "agg", "low", "pending")
+    __slots__ = ("rule", "cfg", "depth", "edges", "idx", "agg", "height")
 
-    def __init__(self, cfg, depth, edges):
+    def __init__(self, rule, cfg, depth, edges):
+        self.rule = rule  # the rule of the edge that reached cfg
         self.cfg = cfg
         self.depth = depth
         self.edges = edges
         self.idx = 0
         self.agg: Dict = {}
-        self.low = float("inf")
-        self.pending = None
+        # steps down to the deepest running configuration below; inf once a
+        # run below met an on-path repeat or the step bound
+        self.height = 0
 
 
 def _merge(agg: Dict, rec: RunRecord):
@@ -385,7 +394,15 @@ def _merge(agg: Dict, rec: RunRecord):
         agg[key] = rec
     else:
         old.paths += rec.paths
-        old.pruned = old.pruned or rec.pruned
+        old.pruned += rec.pruned
+
+
+def _fold(f: _Frame, rule: str, cfg: Configuration, records, height) -> None:
+    """Fold the runs from cfg, reached by rule, into frame f."""
+    f.height = max(f.height, height + 1)
+    for rec in records:
+        trace = ((rule, cfg),) + rec.trace
+        _merge(f.agg, RunRecord(rec.kind, rec.config, trace, rec.paths, rec.pruned))
 
 
 def initial_configuration(program: Program) -> Configuration:
@@ -394,93 +411,67 @@ def initial_configuration(program: Program) -> Configuration:
     return Configuration("running", program.main, Store(program.system), ())
 
 
-def run_all(program: Program, limits: RunLimits = RunLimits()) -> RunResult:
-    """Depth-first exploration of every maximal run.
+def run_all(
+    program: Program, limits: RunLimits = RunLimits(), stop: Optional[Callable[[Store], bool]] = None
+) -> RunResult:
+    """Depth-first exploration of every maximal run, leftmost first.
 
     Structurally repeated configurations are explored once; repetition on
     the current path is reported as a divergent run; paths that exhaust a
     limit are reported as bound_exceeded.  total_runs counts maximal runs
-    in the deduplicated transition graph.
+    exactly as path enumeration does.  With ``stop``, a test of the store
+    alone, exploration ends at the first success it holds for, and the
+    result counts the runs met up to and including that one.
     """
     init = initial_configuration(program)
     memo: Dict[Configuration, List[RunRecord]] = {}
-    onpath: Dict[Configuration, int] = {}
-    expansions = 0
-
-    root = _Frame(init, 0, None)
-    onpath[init] = 0
-    root.edges = step(init, program)
-    expansions += 1
+    # kept apart: a (records, height) tuple per frame makes the GC rescan long traces
+    heights: Dict[Configuration, int] = {}
+    onpath = {init}
+    root = _Frame(None, init, 0, step(init, program))
+    expansions = 1
     stack = [root]
+    stopped = False
 
     while stack:
         f = stack[-1]
-        if f.pending is not None:
-            # a child frame just completed; fold its records in
-            rule, nxt, _pruned, child = f.pending
-            f.pending = None
-            f.low = min(f.low, child.low)
-            for rec in child.agg.values():
-                _merge(
-                    f.agg,
-                    RunRecord(
-                        rec.kind,
-                        rec.config,
-                        ((rule, nxt),) + rec.trace,
-                        rec.paths,
-                        rec.pruned,
-                    ),
-                )
-        if f.idx < len(f.edges):
+        if f.idx < len(f.edges) and not stopped:
             edge = f.edges[f.idx]
             f.idx += 1
-            rule, nxt, pruned = edge.rule, edge.target, edge.pruned
+            rule, nxt = edge.rule, edge.target
             if nxt.kind != "running":
-                _merge(
-                    f.agg,
-                    RunRecord(nxt.kind, nxt, ((rule, nxt),), 1, pruned),
-                )
+                _merge(f.agg, RunRecord(nxt.kind, nxt, ((rule, nxt),), 1, int(edge.pruned)))
+                stopped = nxt.kind == "success" and stop is not None and stop(nxt.store)
                 continue
-            if nxt in memo:
-                for rec in memo[nxt]:
-                    _merge(
-                        f.agg,
-                        RunRecord(
-                            rec.kind,
-                            rec.config,
-                            ((rule, nxt),) + rec.trace,
-                            rec.paths,
-                            rec.pruned,
-                        ),
-                    )
+            hit = memo.get(nxt)
+            if hit is not None and f.depth + 1 + heights[nxt] < limits.max_steps:
+                _fold(f, rule, nxt, hit, heights[nxt])
                 continue
             if nxt in onpath:
-                f.low = min(f.low, onpath[nxt])
+                f.height = math.inf  # the verdict depends on the path
                 _merge(f.agg, RunRecord("divergent", None, ((rule, nxt),)))
                 continue
-            if f.depth + 1 >= limits.max_steps or nxt.fresh_total() > limits.max_fresh_vars:
+            too_deep = f.depth + 1 >= limits.max_steps
+            if too_deep or nxt.fresh_total() > limits.max_fresh_vars:
+                if too_deep:
+                    f.height = math.inf  # the verdict depends on the depth
                 _merge(f.agg, RunRecord("bound_exceeded", None, ()))
                 continue
-            child = _Frame(nxt, f.depth + 1, step(nxt, program))
+            stack.append(_Frame(rule, nxt, f.depth + 1, step(nxt, program)))
             expansions += 1
-            onpath[nxt] = f.depth + 1
-            f.pending = (rule, nxt, pruned, child)
-            stack.append(child)
+            onpath.add(nxt)
             continue
-        # frame complete
+        # frame complete, or unwinding after a stop
         stack.pop()
-        del onpath[f.cfg]
-        recs = list(f.agg.values())
-        if f.low >= f.depth:
-            memo[f.cfg] = recs
+        onpath.discard(f.cfg)
+        records = list(f.agg.values())
+        if not stopped and f.height < math.inf:
+            memo[f.cfg], heights[f.cfg] = records, f.height
         if stack:
-            parent = stack[-1]
-            rule, nxt, pruned, _ = parent.pending
-            parent.pending = (rule, nxt, pruned, f)
+            _fold(stack[-1], f.rule, f.cfg, records, f.height)
 
     records = list(root.agg.values())
-    total = sum(r.paths for r in records)
-    return RunResult(records, total, expansions)
+    return RunResult(records, sum(r.paths for r in records), expansions)
 
 
 def iter_runs(
@@ -505,7 +496,7 @@ def iter_runs(
         nxt = edge.target
         if nxt.kind != "running":
             yield RunRecord(
-                nxt.kind, nxt, tuple(trace) + ((edge.rule, nxt),), 1, edge.pruned
+                nxt.kind, nxt, tuple(trace) + ((edge.rule, nxt),), 1, int(edge.pruned)
             )
             continue
         if nxt in onpath:
@@ -544,7 +535,7 @@ def run_one(
         nxt = edge.target
         trace.append((edge.rule, nxt))
         if nxt.kind != "running":
-            return RunRecord(nxt.kind, nxt, tuple(trace), 1, edge.pruned)
+            return RunRecord(nxt.kind, nxt, tuple(trace), 1, int(edge.pruned))
         if nxt in seen:
             return RunRecord("divergent", None, tuple(trace))
         if nxt.fresh_total() > limits.max_fresh_vars:

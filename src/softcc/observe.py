@@ -16,12 +16,13 @@ branch and bound.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .constraints import Constraint, leqc, oplus, oplus_all, pointwise_eq, strictly_below
-from .engine import RunLimits, RunRecord, RunResult, iter_runs, run_all
+from .engine import RunLimits, RunRecord, RunResult, run_all
 from .lang import (
     Agent,
     Ask,
@@ -160,10 +161,13 @@ def cut_agent(a: Agent, psi: Constraint) -> Agent:
 
 
 def cut_program(program: Program, psi: Constraint) -> Program:
-    """cut_agent over the main agent and every procedure body."""
+    """cut_agent over the main agent and every procedure body; thresholds
+    are all that change, so the system and resolve caches are shared."""
     leave = _cut_leave(psi)
-    decls = {name: replace(d, body=rebuild(d.body, leave)) for name, d in program.decls.items()}
-    return replace(program, decls=decls, main=rebuild(program.main, leave))
+    cut = copy.copy(program)
+    cut.decls = {name: replace(d, body=rebuild(d.body, leave)) for name, d in program.decls.items()}
+    cut.main = rebuild(program.main, leave)
+    return cut
 
 
 # -- branch and bound ----------------------------------------------------
@@ -173,7 +177,7 @@ def cut_program(program: Program, psi: Constraint) -> Program:
 class BBStats:
     iterations: int = 0  # number of times the bound was raised
     runs_pruned: int = 0  # runs that failed at a raised threshold
-    runs_explored: int = 0  # maximal runs enumerated across all restarts
+    runs_explored: int = 0  # maximal runs met across all restarts
 
 
 def solve_bb(
@@ -181,10 +185,11 @@ def solve_bb(
 ) -> Tuple[Constraint, BBStats]:
     """The don't-know solution by iterated cuts.
 
-    Explore under the current bound until a success store not already
-    below the bound appears, fold it in, restart; stop when a complete
-    exploration under the bound finds nothing new.  The returned
-    constraint pointwise equals the +-fold over all successful runs.
+    Each pass runs the program cut at the bound psi until a success not
+    already below psi appears (``run_all``'s stop), folds it into psi and
+    restarts; a complete pass that finds nothing new ends the search.
+    Runs are counted leftmost first, as path enumeration meets them.  The
+    returned constraint pointwise equals the +-fold over all successes.
     """
     if program.main is None:
         raise ObserveError("program has no agent to run")
@@ -198,21 +203,18 @@ def solve_bb(
     obs = observation_vars(program)
     psi = system.constant(system.semiring.zero)
     stats = BBStats()
+
+    def new(store) -> bool:
+        return not leqc(store.project(obs), psi)
+
     while True:
-        current = cut_program(program, psi)
-        found = None
-        for rec in iter_runs(current, limits):
-            stats.runs_explored += 1
-            if rec.pruned:
-                stats.runs_pruned += 1
-            if rec.kind == "success":
-                proj = rec.store.project(obs)
-                if not leqc(proj, psi):
-                    found = proj
-                    break
-        if found is None:
+        res = run_all(cut_program(program, psi), limits, stop=new)
+        stats.runs_explored += res.total_runs
+        stats.runs_pruned += sum(r.pruned for r in res.records)
+        found = [r.store for r in res.records if r.kind == "success" and new(r.store)]
+        if not found:
             return psi, stats
-        psi = oplus(psi, found)
+        psi = oplus(psi, found[0].project(obs))
         stats.iterations += 1
 
 

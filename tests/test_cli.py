@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -60,7 +61,7 @@ def test_check_long_arrow_chain(tmp_path, capsys):
     assert (code, out.strip(), err) == (0, "ok", "")
 
 
-def run_subprocess(*args):
+def run_subprocess(*args, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -70,6 +71,7 @@ def run_subprocess(*args):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -280,6 +282,17 @@ def test_bb_dominated_choice_fixture(capsys):
     assert code == 0
     assert "bb: iterations=1 runs_pruned=6" in out
     assert "(a,a)=0.7" in out
+
+
+def test_bb_network_fixture_finishes():
+    path = str(FIXTURES / "network.scc")
+    with ThreadPoolExecutor(2) as pool:
+        bb, observed = pool.map(lambda cmd: run_subprocess(cmd, path, timeout=120), ("bb", "observe"))
+    assert bb.returncode == 0, bb.stderr
+    lines = bb.stdout.splitlines()
+    assert "bb: iterations=1 runs_pruned=1220424504" in lines
+    dk = [ln for ln in lines if ln.startswith("dk: ")]
+    assert dk and dk == [ln for ln in observed.stdout.splitlines() if ln.startswith("dk: ")]
 
 
 def test_bb_rejects_level_thresholds(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from test_constraints import rand_constraint, small_systems
 
 from softcc import (
     Configuration,
@@ -14,12 +15,15 @@ from softcc import (
     initial_configuration,
     iter_runs,
     leqc,
+    oplus,
     parse_program,
     pointwise_eq,
     pretty_program,
+    project,
     run_all,
     run_one,
     step,
+    strictly_below,
 )
 
 H = "semiring fuzzy;\ndomain {a, b};\nvar x, y, z;\n"
@@ -373,6 +377,32 @@ def test_store_key_counts_repeated_factors():
             assert (res.kind, res.steps) == ("bound_exceeded", 50), (semiring, domain)
 
 
+def test_store_below_cut_matches_the_joint_table():
+    # below_cut asks entailment first; it must agree with comparing the
+    # joint table, in every semiring, on bounds above, below, equal to and
+    # beside the store
+    rng = random.Random("below-cut")
+    verdicts = set()
+    for system in small_systems():
+        for _ in range(20):
+            store = Store(system)
+            for _ in range(rng.randrange(1, 4)):
+                store = store.tell(rand_constraint(system, rng))
+            joint = store.materialize()
+            kept = tuple(v for v in joint.vars if rng.random() < 0.6)
+            for phi in (
+                rand_constraint(system, rng),
+                project(joint, kept),
+                oplus(project(joint, kept), rand_constraint(system, rng)),
+                joint,
+            ):
+                want = strictly_below(joint, phi)
+                assert Store(system, store.factors).below_cut(phi) == want
+                assert store.entails(phi) == leqc(joint, phi)
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_store_monotone_along_every_trace():
     extra = "constraint c(x) { (a) = 0.9; (b) = 0.4; }\n"
     programs = [
@@ -389,29 +419,51 @@ def test_store_monotone_along_every_trace():
                 prev = cur
 
 
+def kind_counts(records):
+    out = {}
+    for r in records:
+        out[r.kind] = out.get(r.kind, 0) + r.paths
+    return out
+
+
 def test_iter_runs_agrees_with_run_all():
-    extra = "constraint c(x) { (a) = 0.9; (b) = 0.4; }\n"
-    programs = [
-        prog("stop"),
-        prog("(tell(c(x)) -> stop || tell(const(0.5)) -> stop)", extra),
-        prog(
-            "(ask(const(1)) -> tell(const(0.3)) -> stop"
-            " + ask(const(1)) -> tell(const(0.7)) -> stop || tell(c(y)) -> stop)",
-            extra,
+    extra = "constraint c(x) { (a) = 0.9; (b) = 0.4; }\nconstraint d(x) { (a) = 0.5; (b) = 0.7; }\n"
+    chain = "ask(const(1)) -> tell(c(x)) -> tell(d(x)) -> stop"
+    cases = [
+        (prog("stop"), RunLimits()),
+        (prog("(tell(c(x)) -> stop || tell(const(0.5)) -> stop)", extra), RunLimits()),
+        (
+            prog(
+                "(ask(const(1)) -> tell(const(0.3)) -> stop"
+                " + ask(const(1)) -> tell(const(0.7)) -> stop || tell(c(y)) -> stop)",
+                extra,
+            ),
+            RunLimits(),
         ),
-        prog("tell(const(0.3)) -> ask(const(0.1)) -> stop"),
+        (prog("tell(const(0.3)) -> ask(const(0.1)) -> stop"), RunLimits()),
+        # runs that met an on-path repeat depend on the path, so their
+        # configurations must not be reused from the memo on another path
+        (
+            prog(
+                "( p(x) || p(y) )",
+                "proc p(x) :: ask(const(1)) -> p(x) + ask(const(1)) -> stop;\n",
+            ),
+            RunLimits(),
+        ),
+        # the same configuration one step deeper meets the step bound
+        (prog(f"{chain} + ask(const(1)) -> {chain}", extra), RunLimits(max_steps=4)),
     ]
-    for p in programs:
-        listed = list(iter_runs(p))
-        res = run_all(p)
+    for p, limits in cases:
+        listed = list(iter_runs(p, limits))
+        res = run_all(p, limits)
         assert len(listed) == res.total_runs
-        by_kind = {}
-        for r in listed:
-            by_kind[r.kind] = by_kind.get(r.kind, 0) + 1
-        agg = {}
-        for r in res.records:
-            agg[r.kind] = agg.get(r.kind, 0) + r.paths
-        assert by_kind == agg
+        assert kind_counts(res.records) == kind_counts(listed)
+        # stopped at a success, run_all counts the runs met up to it
+        for target in {r.store for r in listed if r.kind == "success"}:
+            end = 1 + next(i for i, r in enumerate(listed) if r.kind == "success" and r.store == target)
+            res = run_all(p, limits, stop=lambda store: store == target)
+            assert res.total_runs == end
+            assert kind_counts(res.records) == kind_counts(listed[:end])
 
 
 # -- scheduling policies -------------------------------------------------

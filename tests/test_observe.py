@@ -1,8 +1,10 @@
 """Observables, success-set filters, the cut transform, branch and bound."""
 
 import math
+import pathlib
 
 import pytest
+from genprog import gen_programs
 
 from softcc import (
     Ask,
@@ -23,10 +25,12 @@ from softcc import (
     cut_program,
     dk_solution,
     filter_success_set,
+    iter_runs,
     leqc,
     observables_json,
     observation_vars,
     observe,
+    oplus,
     parse_program,
     pointwise_eq,
     run_all,
@@ -223,6 +227,7 @@ def test_cut_program_reaches_procedure_bodies():
     p = prog("p()", extra)
     psi = p.system.constant(0.4)
     q = cut_program(p, psi)
+    assert q.system is p.system  # the cut shares the program's state
     t = q.decls["p"].body.threshold
     assert isinstance(t, Cut) and t.raised
     assert q.main == p.main  # a call has no thresholds of its own
@@ -282,6 +287,65 @@ def test_bb_on_failing_program_returns_zero():
     psi, stats = solve_bb(p)
     assert psi.scalar() == pytest.approx(0.0)
     assert stats.iterations == 0
+
+
+def reference_bb(program, limits):
+    """Branch and bound by path enumeration: each pass walks the cut
+    program's runs leftmost first up to the first success not below psi."""
+    obs = observation_vars(program)
+    psi = program.system.constant(program.semiring.zero)
+    stats = BBStats()
+    while True:
+        found = None
+        for rec in iter_runs(cut_program(program, psi), limits):
+            stats.runs_explored += 1
+            stats.runs_pruned += rec.pruned
+            if rec.kind == "success":
+                proj = rec.store.project(obs)
+                if not leqc(proj, psi):
+                    found = proj
+                    break
+        if found is None:
+            return psi, stats
+        psi = oplus(psi, found)
+        stats.iterations += 1
+
+
+def test_bb_agrees_with_path_enumeration():
+    fixtures = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    programs = [p for _, p in gen_programs(7, 40)]
+    for path in sorted(fixtures.glob("*.scc")):
+        if "network" in path.name:
+            continue  # too many schedules to enumerate
+        try:
+            programs.append(parse_program(path.read_text()))
+        except ValueError:
+            continue  # the fixture of a rejected program
+    extra = "constraint c(x) { (a) = 0.9; (b) = 0.4; }\nconstraint d(x) { (a) = 0.5; (b) = 0.7; }\n"
+    chain = "ask(const(1)) -> tell(c(x)) -> tell(d(x)) -> stop"
+    programs += [
+        prog("( p(x) || p(y) )", "proc p(x) :: ask(const(1)) -> p(x) + ask(const(1)) -> stop;\n"),
+        prog(f"{chain} + ask(const(1)) -> {chain}", extra),
+        prog(
+            "( p(x) || tell(d(y)) ->[t] stop )",
+            extra
+            + "constraint t(x) { (a) = 0.3; (b) = 0.2; }\n"
+            "proc p(x) :: ask(const(1)) -> tell(c(x)) ->[t] p(x)"
+            " + ask(const(1)) -> tell(d(x)) ->[t] stop;\n",
+        ),
+    ]
+    checked = 0
+    for p in programs:
+        for limits in (RunLimits(), RunLimits(max_steps=7, max_fresh_vars=3)):
+            try:
+                psi, stats = solve_bb(p, limits)
+            except ObserveError:
+                break  # a level threshold, or no agent to run
+            want_psi, want = reference_bb(p, limits)
+            assert stats == want
+            assert pointwise_eq(psi, want_psi)
+            checked += 1
+    assert checked == 2 * (40 + 1 + 3)  # gen_programs, dominated_choice, the three above
 
 
 # -- serialization -------------------------------------------------------
