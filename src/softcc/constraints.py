@@ -75,7 +75,7 @@ class ConstraintSystem:
 
     def constant(self, a: Value) -> "Constraint":
         """The constraint with empty support and value a everywhere."""
-        return Constraint(self, (), {(): self.semiring.check(a)})
+        return Constraint._unchecked(self, (), {(): self.semiring.check(a)})
 
     def diagonal(self, x: str, y: str) -> "Constraint":
         """d_xy: one where x and y agree, zero where they differ."""
@@ -126,13 +126,16 @@ class Constraint:
                 )
         else:
             default = s.check(default)
-        self.system = system
-        self.vars = variables
-        self.table = checked
-        self.default = default
-        self._canon = None
-        self._supp = None
-        self._pruned = None
+        self.system, self.vars, self.table, self.default = system, variables, checked, default
+        self._canon = self._supp = self._pruned = None
+
+    @classmethod
+    def _unchecked(cls, system, variables, table, default=None) -> "Constraint":
+        """An operation's result: its atoms and values were checked on the way in."""
+        self = cls.__new__(cls)
+        self.system, self.vars, self.table, self.default = system, tuple(variables), table, default
+        self._canon = self._supp = self._pruned = None
+        return self
 
     # -- evaluation ----------------------------------------------------
 
@@ -196,7 +199,7 @@ class Constraint:
                 new_table = {
                     k: v for k, v in new_table.items() if not s.eq(v, self.default)
                 }
-            self._pruned = Constraint(self.system, new_vars, new_table, self.default)
+            self._pruned = Constraint._unchecked(self.system, new_vars, new_table, self.default)
         return self._pruned
 
     # -- canonical form and equality ----------------------------------
@@ -307,14 +310,14 @@ def rename(c: Constraint, mapping: Mapping[str, str]) -> Constraint:
             first_pos[t] = i
             new_vars.append(t)
     if len(new_vars) == len(c.vars):
-        return Constraint(c.system, targets, dict(c.table), c.default)
+        return Constraint._unchecked(c.system, targets, dict(c.table), c.default)
     # collapsed: keep only rows consistent on repeated positions
     keep_idx = [first_pos[t] for t in new_vars]
     table = {}
     for key, val in c.table.items():
         if all(key[i] == key[first_pos[t]] for i, t in enumerate(targets)):
             table[tuple(key[i] for i in keep_idx)] = val
-    return Constraint(c.system, tuple(new_vars), table, c.default)
+    return Constraint._unchecked(c.system, tuple(new_vars), table, c.default)
 
 
 # -- the algebra -------------------------------------------------------
@@ -344,9 +347,9 @@ def tensor(c1: Constraint, c2: Constraint) -> Constraint:
                 if s.eq(v, zero):
                     continue
                 table[key1 + tuple(key2[i] for i in extra2)] = v
-        return Constraint(system, union, table, zero)
+        return Constraint._unchecked(system, union, table, zero)
     table = {key: s.combine(v1, v2) for key, (v1, v2) in _cells((c1, c2), union, "tensor")}
-    return Constraint(system, union, table)
+    return Constraint._unchecked(system, union, table)
 
 
 def tensor_all(constraints: Iterable[Constraint], system: ConstraintSystem) -> Constraint:
@@ -367,9 +370,6 @@ def oplus(c1: Constraint, c2: Constraint) -> Constraint:
     if _zero_function(c2):
         return c1
     if c1.vars == c2.vars:
-        if c1.default is None and c2.default is None:
-            table = {k: s.sum(v, c2.table[k]) for k, v in c1.table.items()}
-            return Constraint(system, c1.vars, table)
         d1, d2 = c1.default, c2.default
         keys = set(c1.table) | set(c2.table)
         table = {}
@@ -378,10 +378,10 @@ def oplus(c1: Constraint, c2: Constraint) -> Constraint:
         default = None
         if d1 is not None and d2 is not None:
             default = s.sum(d1, d2)
-        return Constraint(system, c1.vars, table, default)
+        return Constraint._unchecked(system, c1.vars, table, default)
     union = _union_vars(c1, c2)
     table = {key: s.sum(v1, v2) for key, (v1, v2) in _cells((c1, c2), union, "oplus")}
-    return Constraint(system, union, table)
+    return Constraint._unchecked(system, union, table)
 
 
 def oplus_all(constraints: Iterable[Constraint], system: ConstraintSystem) -> Constraint:
@@ -401,23 +401,22 @@ def project(c: Constraint, keep: Iterable[str]) -> Constraint:
     if len(keep_idx) == len(c.vars):
         return c
     new_vars = tuple(c.vars[i] for i in keep_idx)
-    n_elim = len(c.vars) - len(keep_idx)
     if _sparse_ok(c):
         groups = {}
         for key, val in c.table.items():
             nk = tuple(key[i] for i in keep_idx)
             groups[nk] = s.sum(groups[nk], val) if nk in groups else val
         if c.default is None:
-            return Constraint(system, new_vars, groups)
+            return Constraint._unchecked(system, new_vars, groups)
         # unlisted extensions contribute the zero default, the unit of +
         zero = s.zero
         groups = {k: v for k, v in groups.items() if not s.eq(v, zero)}
-        return Constraint(system, new_vars, groups, zero)
+        return Constraint._unchecked(system, new_vars, groups, zero)
     groups = {}
     for key, (val,) in _cells((c,), c.vars, "projection"):
         nk = tuple(key[i] for i in keep_idx)
         groups[nk] = s.sum(groups[nk], val) if nk in groups else val
-    return Constraint(system, new_vars, groups)
+    return Constraint._unchecked(system, new_vars, groups)
 
 
 def hide(c: Constraint, x: str) -> Constraint:
@@ -519,7 +518,7 @@ def glb(constraints: Sequence[Constraint], system: ConstraintSystem) -> Constrai
             if s.leq(v, best):
                 best = v
         table[key] = best
-    return Constraint(system, union, table)
+    return Constraint._unchecked(system, union, table)
 
 
 # -- factored combination ----------------------------------------------

@@ -1,9 +1,10 @@
 """Small-step execution of agents against a shared store.
 
 The store starts at constant one and only ever moves down the constraint
-order as tells combine new constraints in.  It is kept as a factor list;
-best level, entailment and projections go through variable elimination so
-the joint table is never built unless it is small.
+order as tells combine new constraints in.  Each tell folds into one of
+its factors, whose supports form an antichain, so n tells cost O(n); best
+level, entailment and projections go through variable elimination so the
+joint table is never built unless it is small.
 
 A configuration is an agent plus a store (plus the fresh-name counters a
 run has used).  ``step`` returns every rule application at once:
@@ -44,6 +45,8 @@ from .constraints import (
     entails_witness,
     leqc,
     strictly_below,
+    tensor,
+    tensor_all,
 )
 from .lang import (
     Agent,
@@ -71,40 +74,53 @@ class EngineError(RuntimeError):
 
 # Stores whose joint table fits in this many cells compare pointwise;
 # larger ones compare by their factor multiset, which is still sound for
-# deduplication but can miss a repeat that is only pointwise.
+# deduplication but can miss a repeat that is only pointwise.  Folding
+# tells bounds each factor's width but not the store's, so both remain.
 _POINTWISE_CELLS = 4096
 
 
 class Store:
-    """An immutable factored store: the combination of everything told."""
+    """An immutable factored store: the combination of everything told.
 
-    __slots__ = ("system", "factors", "_keyset", "_key", "_blevel", "_entails", "_mat")
+    ``told`` holds the canonical key of every told constraint (by default,
+    of each given factor); x is intensive, so the store entails each one.
+    """
 
-    def __init__(self, system, factors: Tuple[Constraint, ...] = ()):
+    __slots__ = ("system", "factors", "told", "_key", "_blevel", "_entails", "_mat")
+
+    def __init__(self, system, factors: Tuple[Constraint, ...] = (), told=None):
         self.system = system
         self.factors = factors
-        self._keyset = frozenset(f.canonical_key() for f in factors)
-        self._key = None
-        self._blevel = None
+        self.told = frozenset(f.canonical_key() for f in factors) if told is None else told
+        self._key = self._blevel = self._mat = None
         self._entails = {}
-        self._mat = None
 
     def tell(self, c: Constraint) -> "Store":
         """The store after combining c in.
 
-        With an idempotent x, re-telling a constraint already present
-        leaves the store pointwise unchanged, so the factor is dropped;
-        that keeps repeated tells recognizable as repeats.
+        c folds into the first factor whose support contains its own, or
+        else absorbs every factor inside its support.  So the supports form
+        an antichain: there are never more factors than distinct told
+        supports, and none wider than the widest told constraint.  With an
+        idempotent x, re-telling a constraint already told leaves the store
+        pointwise unchanged, so the store itself is returned; that keeps
+        repeated tells recognizable as repeats.
         """
-        if self.system.semiring.idempotent_times and c.canonical_key() in self._keyset:
+        ck = c.canonical_key()
+        if ck in self.told and self.system.semiring.idempotent_times:
             return self
-        return Store(self.system, self.factors + (c,))
+        told = self.told if ck in self.told else self.told | {ck}
+        cv = set(c.vars)
+        for i, f in enumerate(self.factors):
+            if cv.issubset(f.vars):
+                folded = self.factors[:i] + (tensor(f, c),) + self.factors[i + 1 :]
+                return Store(self.system, folded, told)
+        inside = [f for f in self.factors if cv.issuperset(f.vars)]
+        rest = tuple(f for f in self.factors if not cv.issuperset(f.vars))
+        return Store(self.system, rest + (tensor_all(inside + [c], self.system),), told)
 
     def vars(self) -> tuple:
-        out: tuple = ()
-        for f in self.factors:
-            out = out + tuple(v for v in f.vars if v not in out)
-        return out
+        return tuple(dict.fromkeys(v for f in self.factors for v in f.vars))
 
     def key(self) -> tuple:
         if self._key is None:
@@ -135,8 +151,8 @@ class Store:
 
     def entails(self, c: Constraint) -> bool:
         ck = c.canonical_key()
-        if ck in self._keyset:
-            return True  # a factor is always entailed
+        if ck in self.told:
+            return True  # x is intensive: the store lies below all it was told
         got = self._entails.get(ck)
         if got is None:
             proj = combine_project(self.factors, c.vars, self.system)

@@ -81,6 +81,20 @@ def test_run_long_arrow_chain(tmp_path):
     assert got.stdout.startswith("terminal: success")
 
 
+def test_run_recursive_weighted_tell_reaches_the_step_limit(tmp_path):
+    # every tell folds into the one factor over x, so each step costs the
+    # same and the run gets to its step limit instead of slowing down
+    text = (
+        "semiring weighted;\ndomain {a, b};\nvar x;\n"
+        "constraint c(x) { (a) = 1; (b) = 2; }\n"
+        "proc p(x) :: tell(c(x)) -> p(x);\nagent = p(x);\n"
+    )
+    got = run_subprocess("run", write(tmp_path, text), "--max-steps", "20000", timeout=60)
+    assert got.returncode == 4, got.stderr
+    assert got.stdout.startswith("terminal: bound_exceeded")
+    assert "Traceback" not in got.stderr
+
+
 def test_too_deep_program_is_a_clean_error(tmp_path):
     # nested parallel composition is still read one frame per level
     text = (

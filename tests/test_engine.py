@@ -24,6 +24,7 @@ from softcc import (
     run_one,
     step,
     strictly_below,
+    tensor_all,
 )
 
 H = "semiring fuzzy;\ndomain {a, b};\nvar x, y, z;\n"
@@ -335,9 +336,36 @@ def test_store_weighted_tell_accumulates():
     c = sysw.constant(1.0)
     s1 = s.tell(c)
     s2 = s1.tell(c)
-    assert len(s2.factors) == 2
-    assert s2.blevel() == pytest.approx(2.0)
+    assert s2.blevel() == pytest.approx(2.0)  # + is not idempotent: both count
     assert s1 != s2
+
+
+def test_store_fold_matches_the_dense_joint_table():
+    # tell folds each constraint into one factor; the store must stay the
+    # tensor of everything told, in every semiring, over supports that nest
+    # ({x} in {x, y}) and that overlap without nesting ({x, y} and {y, z})
+    rng = random.Random("store-fold")
+    for system in small_systems():
+        s = system.semiring
+        for _ in range(15):
+            store, told = Store(system), []
+            for _ in range(rng.randrange(1, 7)):
+                c = rand_constraint(system, rng, pool=("w", "x", "y", "z"))
+                store = store.tell(c)
+                told.append(c)
+            joint = tensor_all(told, system)
+            assert pointwise_eq(store.materialize(), joint)
+            assert s.eq(store.blevel(), project(joint, ()).scalar())
+            # every told constraint is entailed, so the shortcut is exact
+            for c in told + [rand_constraint(system, rng) for _ in range(3)]:
+                assert store.entails(c) == leqc(joint, c)
+            if s.idempotent_times:
+                assert store.tell(rng.choice(told)) is store
+            supports = [frozenset(f.vars) for f in store.factors]
+            assert not any(
+                a <= b for i, a in enumerate(supports) for j, b in enumerate(supports) if i != j
+            )
+            assert len(supports) <= len({frozenset(c.vars) for c in told})
 
 
 def test_store_key_regimes():
