@@ -60,7 +60,10 @@ def _limits(args) -> RunLimits:
     max_steps = args.max_steps
     if max_steps is None:
         env = os.environ.get("SCC_MAX_STEPS")
-        max_steps = int(env) if env else 100_000
+        try:
+            max_steps = int(env) if env else 100_000
+        except ValueError:
+            raise _CliError(f"SCC_MAX_STEPS is not an integer: {env!r}") from None
     if max_steps <= 0 or args.max_fresh <= 0:
         raise _CliError("limits must be positive")
     return RunLimits(max_steps=max_steps, max_fresh_vars=args.max_fresh)
@@ -267,10 +270,6 @@ def main(argv=None) -> int:
         return e.code
     except (ProgramError, ConstraintError, EngineError, ObserveError) as e:
         print(f"scc: error: {e}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        # the parser recurses per nested ( … || … ) or exists (~490), a step too (~990)
-        print("scc: error: program is nested too deeply to process", file=sys.stderr)
         return 1
 
 

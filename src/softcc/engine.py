@@ -207,95 +207,56 @@ class StepEdge:
 @dataclass
 class _Move:
     rule: str
-    kind: str  # run | success | fail
+    kind: str  # running | success | fail
     agent: Optional[Agent]
     store: Store
     fresh: Dict[str, int]
     pruned: bool = False
 
 
-def _moves(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
-    """All rule applications of an agent: (moves, hang-candidates)."""
+# the rules of a tell or an ask under each kind of threshold: (fires, fails, waits)
+_RULES = {
+    (node, t): tuple(f"{prefix}{node.__name__.lower()}{end}" for end in ("", "-fail", "-hang"))
+    for node in (Tell, Ask)
+    for t, prefix in ((Eventual, "eventual-"), (Level, "valued-"), (Cut, ""))
+}
+
+
+def _leaf(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
+    """The rule applications of an agent that is neither a Par nor an
+    exists: (moves, hang-candidates)."""
+    if isinstance(agent, (Tell, Ask)):
+        fires, fails, waits = _RULES[type(agent), type(agent.threshold)]
+        c = program.resolve(agent.con)
+        new = store.tell(c) if isinstance(agent, Tell) else store
+        t = agent.threshold
+        if isinstance(t, Level):
+            failed = store.system.semiring.lt(new.blevel(), t.value)
+        else:
+            failed = isinstance(t, Cut) and new.below_cut(program.threshold_constraint(t))
+        if failed:
+            return [_Move(fails, "fail", None, store, fresh, isinstance(t, Cut) and t.raised)], []
+        if isinstance(agent, Ask) and not store.entails(c):
+            return [], [(waits, c)]
+        return [_Move(fires, "running", agent.body, new, fresh)], []
+
     if isinstance(agent, Stop):
         return [_Move("stop", "success", None, store, fresh)], []
 
-    if isinstance(agent, Tell):
-        c = program.resolve(agent.con)
-        new = store.tell(c)
-        t = agent.threshold
-        if isinstance(t, Eventual):
-            return [_Move("eventual-tell", "run", agent.body, new, fresh)], []
-        if isinstance(t, Level):
-            s = store.system.semiring
-            if s.lt(new.blevel(), t.value):
-                return [_Move("valued-tell-fail", "fail", None, store, fresh)], []
-            return [_Move("valued-tell", "run", agent.body, new, fresh)], []
-        phi = program.threshold_constraint(t)
-        if new.below_cut(phi):
-            return [_Move("tell-fail", "fail", None, store, fresh, pruned=t.raised)], []
-        return [_Move("tell", "run", agent.body, new, fresh)], []
-
-    if isinstance(agent, Ask):
-        c = program.resolve(agent.con)
-        t = agent.threshold
-        if isinstance(t, Level):
-            s = store.system.semiring
-            if s.lt(store.blevel(), t.value):
-                return [_Move("valued-ask-fail", "fail", None, store, fresh)], []
-            if store.entails(c):
-                return [_Move("valued-ask", "run", agent.body, store, fresh)], []
-            return [], [("valued-ask-hang", c)]
-        if isinstance(t, Cut):
-            phi = program.threshold_constraint(t)
-            if store.below_cut(phi):
-                return [_Move("ask-fail", "fail", None, store, fresh, pruned=t.raised)], []
-            if store.entails(c):
-                return [_Move("ask", "run", agent.body, store, fresh)], []
-            return [], [("ask-hang", c)]
-        if store.entails(c):
-            return [_Move("eventual-ask", "run", agent.body, store, fresh)], []
-        return [], [("eventual-ask-hang", c)]
-
     if isinstance(agent, Sum):
-        proceeds: List[_Move] = []
-        fails: List[_Move] = []
-        hangs = []
+        proceeds, fails, hangs = [], [], []
         for b in agent.branches:
-            m, h = _moves(b, store, fresh, program)
+            m, h = (_moves if isinstance(b, (Par, Exists)) else _leaf)(b, store, fresh, program)
             for mv in m:
-                (proceeds if mv.kind == "run" else fails).append(mv)
+                (proceeds if mv.kind == "running" else fails).append(mv)
             hangs.extend(h)
         if proceeds:
             return proceeds, []
         if not hangs:
             # every branch failed its threshold check
             pruned = any(mv.pruned for mv in fails)
-            return [_Move("choice-fail", "fail", None, store, fresh, pruned=pruned)], []
+            return [_Move("choice-fail", "fail", None, store, fresh, pruned)], []
         return [], [("choice-hang", c) for _, c in hangs]
-
-    if isinstance(agent, Par):
-        out: List[_Move] = []
-        hangs = []
-        for i, (side, other) in enumerate(((agent.left, agent.right), (agent.right, agent.left))):
-            moves, waiting = _moves(side, store, fresh, program)
-            hangs += waiting
-            for mv in moves:
-                if mv.kind == "success":  # continue as the other side
-                    mv = _Move(mv.rule, "run", other, mv.store, mv.fresh)
-                elif mv.kind == "run":
-                    pair = (mv.agent, other) if i == 0 else (other, mv.agent)
-                    mv = _Move(mv.rule, "run", Par(*pair), mv.store, mv.fresh)
-                out.append(mv)
-        return out, hangs
-
-    if isinstance(agent, Exists):
-        base = agent.var
-        k = fresh.get(base, 0)
-        y = f"{base}#{k}"
-        bumped = dict(fresh)
-        bumped[base] = k + 1
-        inner = substitute(agent.body, {base: y})
-        return _moves(inner, store, bumped, program)
 
     if isinstance(agent, Call):
         d = program.decls.get(agent.name)
@@ -304,9 +265,49 @@ def _moves(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
         if len(agent.args) != len(d.params):
             raise EngineError(f"arity mismatch calling {agent.name!r}")
         body = substitute(d.body, dict(zip(d.params, agent.args)))
-        return [_Move("call", "run", body, store, fresh)], []
+        return [_Move("call", "running", body, store, fresh)], []
 
     raise EngineError(f"not an agent: {agent!r}")
+
+
+def _moves(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
+    """All rule applications of an agent: (moves, hang-candidates).
+
+    One walk over the Par and exists nodes with an explicit stack.  Each
+    component carries ``up``, a linked list (left?, other side, up) of the
+    Par nodes above it; a run of directly nested binders opens with one
+    substitution, on fresh counters of the component's own; and each move of
+    a leaf is lifted through its ``up`` once.
+    """
+    out, hangs = [], []
+    todo = [(agent, None, fresh)]
+    while todo:
+        a, up, fr = todo.pop()
+        if isinstance(a, Par):
+            todo.append((a.right, (False, a.left, up), fr))
+            todo.append((a.left, (True, a.right, up), fr))
+            continue
+        if isinstance(a, Exists):
+            fr, names = dict(fr), {}
+            while isinstance(a, Exists):
+                k = fr.get(a.var, 0)
+                fr[a.var] = k + 1
+                names[a.var] = f"{a.var}#{k}"  # an inner binder shadows an outer one
+                a = a.body
+            todo.append((substitute(a, names), up, fr))
+            continue
+        moves, waiting = _leaf(a, store, fr, program)
+        hangs += waiting
+        for mv in moves:
+            if up is not None and mv.kind != "fail":
+                # a side that succeeds continues as the other side
+                new, link = up[1:] if mv.kind == "success" else (mv.agent, up)
+                while link is not None:
+                    left, other, link = link
+                    new = Par(new, other) if left else Par(other, new)
+                mv = _Move(mv.rule, "running", new, mv.store, mv.fresh)
+            out.append(mv)
+    return out, hangs
 
 
 def step(cfg: Configuration, program: Program) -> List[StepEdge]:
@@ -321,13 +322,7 @@ def step(cfg: Configuration, program: Program) -> List[StepEdge]:
     edges: List[StepEdge] = []
     seen = set()
     for mv in moves:
-        kind = "running" if mv.kind == "run" else mv.kind
-        target = Configuration(
-            kind,
-            mv.agent,
-            mv.store,
-            tuple(sorted(mv.fresh.items())),
-        )
+        target = Configuration(mv.kind, mv.agent, mv.store, tuple(sorted(mv.fresh.items())))
         if target in seen:
             continue
         seen.add(target)
@@ -336,13 +331,7 @@ def step(cfg: Configuration, program: Program) -> List[StepEdge]:
         if not hangs:
             raise EngineError("running configuration with no rule and no waiting ask")
         rule = hangs[0][0] if len(hangs) == 1 else "quiescence"
-        target = Configuration(
-            "hang",
-            cfg.agent,
-            cfg.store,
-            cfg.fresh,
-            blocked=tuple(c for _, c in hangs),
-        )
+        target = Configuration("hang", cfg.agent, cfg.store, cfg.fresh, tuple(c for _, c in hangs))
         edges.append(StepEdge(rule, target))
     return edges
 

@@ -17,7 +17,8 @@ the same fields if there is one, so equal nodes are one object, equality
 is identity, and the hash is computed once, from the children's.  The
 parser keeps source positions aside.  Every walker over agents is built
 on ``walk``, a pre-order iterator, or ``rebuild``, a bottom-up map; both
-keep an explicit stack, so depth costs no recursion.
+keep an explicit stack, so depth costs no recursion.  The engine's step
+walk and the parser's agent reader keep stacks of their own.
 """
 
 from __future__ import annotations
@@ -85,8 +86,21 @@ class Node:
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
-        return f"{type(self).__name__}({fields})"
+        # read off a walk, so a deep agent costs no recursion
+        return "".join(x for x in walk(self, _repr_parts) if isinstance(x, str))
+
+
+def _repr_parts(node: Node) -> list:
+    """A node's repr in pieces, with its child nodes left for the walk."""
+    out = [f"{type(node).__name__}("]
+    for i, name in enumerate(node._fields):
+        v = getattr(node, name)
+        out.append(f"{', ' if i else ''}{name}=")
+        if isinstance(v, tuple) and v and isinstance(v[0], Node):  # a choice's branches
+            out += ["(", *[x for b in v for x in (b, ", ")][:-1], ",)" if len(v) == 1 else ")"]
+        else:
+            out.append(v if isinstance(v, Node) else repr(v))
+    return out + [")"]
 
 
 # -- constraint references inside agents --------------------------------

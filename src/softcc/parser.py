@@ -355,62 +355,65 @@ class _Parser:
     # -- agents ---------------------------------------------------------
 
     def agent(self) -> Agent:
-        first = self.agent_atom()
-        if not self.at("+"):
-            return first
-        branches = [first]
-        pos = self.peek().pos
-        while self.at("+"):
-            self.next()
-            branches.append(self.agent_atom())
-        for b in branches:
-            if not isinstance(b, Ask):
-                raise ParseError("choice branches must be ask-guarded", pos)
-        return Sum(tuple(branches))
-
-    def agent_atom(self) -> Agent:
-        t = self.peek()
-        if t.kind == "IDENT":
-            if t.value == "stop":
-                self.next()
-                return Stop()
-            if t.value in ("tell", "ask"):
-                return self.tellask()
-            if t.value == "exists":
-                self.next()
-                var = self.ident("variable").value
+        # Read with an explicit stack of the frames open left of the next
+        # atom, so nesting depth is not bounded by the recursion limit:
+        #   ["+", branches, pos of the first +]   a choice
+        #   ["||", left side once read]           a ( … || … )
+        #   (Exists, var, token), (Tell or Ask, con, arrow, token)   a binder
+        #       or an arrow-chain link, waiting for its body
+        frames: list = [["+", [], None]]
+        while True:
+            t = self.next()
+            word = t.value if t.kind == "IDENT" else None
+            if t.kind == "(":
+                frames += [["||", None], ["+", [], None]]
+                continue
+            if word == "exists":
+                frames.append((Exists, self.ident("variable").value, t))
                 self.expect(".")
-                return Exists(var, self.agent())
-            if t.value not in KEYWORDS:
-                name = self.next()
+                frames.append(["+", [], None])
+                continue
+            if word in ("tell", "ask"):
+                self.expect("(")
+                con = self.cexpr()
+                self.expect(")")
+                frames.append((Tell if word == "tell" else Ask, con, self.arrow(), t))
+                continue
+            if word == "stop":
+                a = Stop()
+            elif word is not None and word not in KEYWORDS:
                 self.expect("(")
                 args = self.varlist(allow_empty=True, close=")")
                 self.expect(")")
-                return self.placed(Call(name.value, args), name)
-            raise ParseError(f"unexpected {t.value!r} in agent", t.pos)
-        if t.kind == "(":
-            self.next()
-            left = self.agent()
-            self.expect("||")
-            right = self.agent()
-            self.expect(")")
-            return Par(left, right)
-        raise ParseError(f"expected an agent, found {t.value!r}", t.pos)
-
-    def tellask(self) -> Agent:
-        # An arrow chain is read in a loop, so its length is not bounded by
-        # the recursion limit.
-        links = []
-        while self.at_kw("tell") or self.at_kw("ask"):
-            kw = self.next()
-            self.expect("(")
-            con = self.cexpr()
-            self.expect(")")
-            links.append((Tell if kw.value == "tell" else Ask, con, self.arrow(), kw))
-        body = self.agent_atom()
-        for node, con, arrow, kw in reversed(links):
-            body = self.placed(node(con, arrow, body), kw)
-        return body
+                a = self.placed(Call(word, args), t)
+            elif word is not None:
+                raise ParseError(f"unexpected {word!r} in agent", t.pos)
+            else:
+                raise ParseError(f"expected an agent, found {t.value!r}", t.pos)
+            while True:  # close every frame the atom completes, up to one that reads on
+                f = frames.pop()
+                if f[0] == "+":
+                    f[1].append(a)
+                    if self.at("+"):
+                        f[2] = f[2] or self.peek().pos
+                        frames.append(f)
+                        self.next()
+                        break
+                    if len(f[1]) > 1:
+                        if not all(isinstance(b, Ask) for b in f[1]):
+                            raise ParseError("choice branches must be ask-guarded", f[2])
+                        a = Sum(tuple(f[1]))
+                    if not frames:
+                        return a
+                elif f[0] == "||":
+                    if f[1] is None:
+                        self.expect("||")
+                        frames += [["||", a], ["+", [], None]]
+                        break
+                    self.expect(")")
+                    a = Par(f[1], a)
+                else:
+                    a = self.placed(f[0](*f[1:-1], a), f[-1])
 
     def arrow(self):
         self.expect("->")

@@ -83,12 +83,6 @@ class Semiring:
             return a + b  # costs add
         return min(a, b)  # boolean, fuzzy
 
-    def sum_all(self, values, start: Value | None = None) -> Value:
-        acc = self.zero if start is None else start
-        for v in values:
-            acc = self.sum(acc, v)
-        return acc
-
     def combine_all(self, values, start: Value | None = None) -> Value:
         acc = self.one if start is None else start
         for v in values:

@@ -96,16 +96,25 @@ def test_run_recursive_weighted_tell_reaches_the_step_limit(tmp_path):
 
 
 def test_too_deep_program_is_a_clean_error(tmp_path):
-    # nested parallel composition is still read one frame per level
+    # nesting depth is bounded by no recursion limit: 2,000 nested
+    # ( stop || … ) check ok (running them would take hours, as every
+    # component can move at every step)
     text = (
         "semiring fuzzy;\ndomain {a, b};\nvar x;\n"
         "agent = " + "(stop || " * 2000 + "stop" + ")" * 2000 + ";\n"
     )
-    got = run_subprocess("run", write(tmp_path, text))
-    assert got.returncode == 1
-    assert got.stderr.startswith("scc: error:")
+    got = run_subprocess("check", write(tmp_path, text))
+    assert (got.returncode, got.stdout.strip(), got.stderr) == (0, "ok", "")
+    # 10,000 waiting siblings: only the innermost stop moves, then all hang
+    text = (
+        "semiring fuzzy;\ndomain {a, b};\nvar x;\n"
+        "constraint c(x) { (a) = 0.5; (b) = 0.7; }\n"
+        "agent = " + "( ask(c(x)) -> stop || " * 10_000 + "stop" + " )" * 10_000 + ";\n"
+    )
+    got = run_subprocess("run", write(tmp_path, text), timeout=120)
+    assert got.returncode == 3, got.stderr
+    assert got.stdout.startswith("terminal: hang")
     assert "Traceback" not in got.stderr
-    assert len(got.stderr.strip().splitlines()) == 1
 
 
 def test_check_duplicate_proc(capsys):
@@ -223,11 +232,16 @@ def test_step_limit_env(tmp_path, capsys, monkeypatch):
     assert code == 0
 
 
-def test_bad_limits(tmp_path, capsys):
+def test_bad_limits(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "semiring fuzzy;\ndomain {a};\nvar x;\nagent = stop;\n")
     code, out, err = run_main(capsys, "run", path, "--max-steps", "0")
     assert code == 1
     assert "positive" in err
+    monkeypatch.setenv("SCC_MAX_STEPS", "abc")
+    code, out, err = run_main(capsys, "observe", str(FIXTURES / "dominated_choice.scc"))
+    assert (code, out) == (1, "")
+    assert err.startswith("scc: error:") and "SCC_MAX_STEPS" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 # -- observe -------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Small-step execution: rules, interleaving, termination verdicts."""
 
+import pathlib
 import random
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 import pytest
+from genprog import gen_programs
 from test_constraints import rand_constraint, small_systems
 
 from softcc import (
@@ -12,6 +16,7 @@ from softcc import (
     RunLimits,
     Store,
     ConstraintSystem,
+    cut_program,
     initial_configuration,
     iter_runs,
     leqc,
@@ -25,6 +30,22 @@ from softcc import (
     step,
     strictly_below,
     tensor_all,
+)
+from softcc.lang import (
+    Agent,
+    Ask,
+    Call,
+    Cut,
+    Eventual,
+    Exists,
+    Level,
+    Par,
+    Program,
+    ProgramError,
+    Stop,
+    Sum,
+    Tell,
+    substitute,
 )
 
 H = "semiring fuzzy;\ndomain {a, b};\nvar x, y, z;\n"
@@ -557,3 +578,256 @@ def test_deep_recursive_proc_is_divergent():
     assert run_one(p).kind == "divergent"
     result = run_all(p)
     assert [r.kind for r in result.records] == ["divergent"]
+
+
+DEEP_PAR = "( stop || " * 10_000 + "stop" + " )" * 10_000
+DEEP_EXISTS = "exists x . " * 10_000 + "tell(c(x)) -> stop"
+# only the innermost stop can move; then every sibling waits
+DEEP_WAITING = "( ask(c(x)) -> stop || " * 10_000 + "stop" + " )" * 10_000
+
+
+def test_deep_nesting_parses_and_prints():
+    for body, head in ((DEEP_PAR, "Par(left=Stop(), right=Par("), (DEEP_EXISTS, "Exists(var='x'")):
+        p = prog(body, DEEP_EXTRA)
+        assert parse_program(pretty_program(p)).main is p.main
+        assert repr(p.main).startswith(head)
+
+
+def test_deep_exists_opens_in_one_step():
+    p = prog(DEEP_EXISTS, DEEP_EXTRA)
+    limits = RunLimits(max_fresh_vars=20_000)
+    one = run_one(p, limits=limits)
+    assert one.kind == "success" and rules_of(one) == ["eventual-tell", "stop"]
+    assert one.trace[0][1].fresh == (("x", 10_000),)
+    result = run_all(p, limits)
+    assert single(result, "success").paths == 1
+    assert result.total_runs == 1
+
+
+def test_deep_waiting_siblings_hang():
+    p = prog(DEEP_WAITING, DEEP_EXTRA)
+    one = run_one(p)
+    assert one.kind == "hang" and rules_of(one) == ["stop", "quiescence"]
+    assert len(one.config.blocked) == 10_000
+    result = run_all(p)
+    assert single(result, "hang").paths == 1
+    assert result.total_runs == 1
+
+
+# -- the step walk against the recursive definition ----------------------
+
+
+@dataclass
+class RefMove:
+    rule: str
+    kind: str  # run | success | fail
+    agent: Optional[Agent]
+    store: Store
+    fresh: Dict[str, int]
+    pruned: bool = False
+
+
+def reference_moves(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
+    """The transition rules as one recursive case analysis: (moves, hang-candidates)."""
+    if isinstance(agent, Stop):
+        return [RefMove("stop", "success", None, store, fresh)], []
+
+    if isinstance(agent, Tell):
+        c = program.resolve(agent.con)
+        new = store.tell(c)
+        t = agent.threshold
+        if isinstance(t, Eventual):
+            return [RefMove("eventual-tell", "run", agent.body, new, fresh)], []
+        if isinstance(t, Level):
+            s = store.system.semiring
+            if s.lt(new.blevel(), t.value):
+                return [RefMove("valued-tell-fail", "fail", None, store, fresh)], []
+            return [RefMove("valued-tell", "run", agent.body, new, fresh)], []
+        phi = program.threshold_constraint(t)
+        if new.below_cut(phi):
+            return [RefMove("tell-fail", "fail", None, store, fresh, pruned=t.raised)], []
+        return [RefMove("tell", "run", agent.body, new, fresh)], []
+
+    if isinstance(agent, Ask):
+        c = program.resolve(agent.con)
+        t = agent.threshold
+        if isinstance(t, Level):
+            s = store.system.semiring
+            if s.lt(store.blevel(), t.value):
+                return [RefMove("valued-ask-fail", "fail", None, store, fresh)], []
+            if store.entails(c):
+                return [RefMove("valued-ask", "run", agent.body, store, fresh)], []
+            return [], [("valued-ask-hang", c)]
+        if isinstance(t, Cut):
+            phi = program.threshold_constraint(t)
+            if store.below_cut(phi):
+                return [RefMove("ask-fail", "fail", None, store, fresh, pruned=t.raised)], []
+            if store.entails(c):
+                return [RefMove("ask", "run", agent.body, store, fresh)], []
+            return [], [("ask-hang", c)]
+        if store.entails(c):
+            return [RefMove("eventual-ask", "run", agent.body, store, fresh)], []
+        return [], [("eventual-ask-hang", c)]
+
+    if isinstance(agent, Sum):
+        proceeds: List[RefMove] = []
+        fails: List[RefMove] = []
+        hangs = []
+        for b in agent.branches:
+            m, h = reference_moves(b, store, fresh, program)
+            for mv in m:
+                (proceeds if mv.kind == "run" else fails).append(mv)
+            hangs.extend(h)
+        if proceeds:
+            return proceeds, []
+        if not hangs:
+            pruned = any(mv.pruned for mv in fails)
+            return [RefMove("choice-fail", "fail", None, store, fresh, pruned=pruned)], []
+        return [], [("choice-hang", c) for _, c in hangs]
+
+    if isinstance(agent, Par):
+        out: List[RefMove] = []
+        hangs = []
+        for i, (side, other) in enumerate(((agent.left, agent.right), (agent.right, agent.left))):
+            moves, waiting = reference_moves(side, store, fresh, program)
+            hangs += waiting
+            for mv in moves:
+                if mv.kind == "success":  # continue as the other side
+                    mv = RefMove(mv.rule, "run", other, mv.store, mv.fresh)
+                elif mv.kind == "run":
+                    pair = (mv.agent, other) if i == 0 else (other, mv.agent)
+                    mv = RefMove(mv.rule, "run", Par(*pair), mv.store, mv.fresh)
+                out.append(mv)
+        return out, hangs
+
+    if isinstance(agent, Exists):
+        base = agent.var
+        k = fresh.get(base, 0)
+        y = f"{base}#{k}"
+        bumped = dict(fresh)
+        bumped[base] = k + 1
+        inner = substitute(agent.body, {base: y})
+        return reference_moves(inner, store, bumped, program)
+
+    if isinstance(agent, Call):
+        d = program.decls[agent.name]
+        body = substitute(d.body, dict(zip(d.params, agent.args)))
+        return [RefMove("call", "run", body, store, fresh)], []
+
+    raise EngineError(f"not an agent: {agent!r}")
+
+
+def assert_step_matches_reference(cfg, program):
+    moves, hangs = reference_moves(cfg.agent, cfg.store, dict(cfg.fresh), program)
+    want = []
+    for mv in moves:
+        kind = "running" if mv.kind == "run" else mv.kind
+        target = Configuration(kind, mv.agent, mv.store, tuple(sorted(mv.fresh.items())))
+        if target not in [t for _, t, _ in want]:
+            want.append((mv.rule, target, mv.pruned))
+    edges = step(cfg, program)
+    if want:
+        assert [(e.rule, e.target, e.pruned) for e in edges] == want
+        return
+    assert len(edges) == 1 and edges[0].target.kind == "hang"
+    assert edges[0].rule == (hangs[0][0] if len(hangs) == 1 else "quiescence")
+    assert edges[0].target.blocked == tuple(c for _, c in hangs)
+
+
+def assert_walk_matches_reference(program, limits=RunLimits(max_steps=60)):
+    """Compare step with the reference on every configuration reachable
+    within the limits: the configurations iter_runs meets, each once."""
+    init = initial_configuration(program)
+    seen, todo = {init}, [(init, 0)]
+    while todo:
+        cfg, depth = todo.pop()
+        assert_step_matches_reference(cfg, program)
+        for e in step(cfg, program):
+            nxt = e.target
+            if nxt.kind == "running" and nxt not in seen and depth + 1 < limits.max_steps:
+                if nxt.fresh_total() <= limits.max_fresh_vars:
+                    seen.add(nxt)
+                    todo.append((nxt, depth + 1))
+    return len(seen)
+
+
+# per semiring: two values for table rows, a level between them, and zero
+WALK_VALUES = {
+    "fuzzy": ("0.9", "0.4", "0.5", "0"),
+    "probabilistic": ("0.9", "0.4", "0.5", "0"),
+    "weighted": ("1", "5", "3", "inf"),
+    "boolean": ("true", "false", "true", "false"),
+}
+
+WALK_AGENTS = [
+    # nested parallel composition, all three threshold kinds
+    "( tell(c(x)) -> stop || ( ask(c(x)) ->^L tell(d(y)) -> stop || tell(d(z)) ->[cz] stop ) )",
+    "( ( tell(c(x)) ->^L stop || ask(c(x)) ->[cz] stop ) || ( tell(d(y)) -> stop || stop ) )",
+    # sibling binders draw the same fresh name, each on its own side
+    "( exists y . tell(c(y)) -> ask(c(y)) -> stop || exists y . tell(d(y)) -> stop )",
+    # shadowing binders, directly nested and across a parallel composition
+    "exists x . exists x . tell(e(x, y)) -> stop",
+    "exists x . exists y . exists x . ( tell(e(x, y)) -> stop || exists y . tell(e(y, x)) -> stop )",
+    "exists x . ( tell(c(x)) -> stop || exists x . ( tell(d(x)) -> stop || exists z . tell(e(z, x)) -> stop ) )",
+    # choices whose branches fire, fail or hang
+    "( ask(c(x)) ->^L stop + ask(d(y)) -> stop || tell(c(x)) -> tell(d(y)) -> stop )",
+    "ask(d(x)) ->^H stop + ask(c(x)) ->^H stop",
+    "( tell(c(x)) -> stop || ask(g(x)) -> stop + ask(g(y)) ->[cz] stop )",
+    "( ask(c(x)) ->^H stop + ask(c(x)) ->[cz] stop || tell(d(x)) ->^H stop )",
+    "( ask(g(x)) -> stop || ( ask(g(y)) ->^L stop || ask(g(z)) ->[cz] stop ) )",
+    "( tell(g(x)) -> stop || ask(c(x)) ->^L stop + ask(d(x)) ->^L stop )",
+    "( tell(g(x)) ->[ch] stop || ask(c(x)) ->[ch] stop + ask(g(y)) ->^L stop )",
+    "( tell(g(x)) ->^H stop || ( ask(g(y)) ->^L stop || tell(g(z)) -> stop ) )",
+    "( tell(g(x)) -> stop || ask(g(y)) ->^L stop )",
+    "( tell(g(x)) -> stop || ask(c(y)) ->[ch] stop )",
+    "( tell(g(x)) ->^Z stop || ask(c(x)) -> stop + ask(d(x)) -> stop )",
+    "ask(g(x)) -> stop",
+    "ask(g(x)) ->^L stop",
+    "ask(g(x)) ->[cz] stop",
+    # calls, recursive and under binders
+    "( p(x) || exists z . p(z) )",
+    "( q(x) || tell(d(x)) -> stop )",
+]
+
+
+def walk_program(semiring, body):
+    hi, lo, level, zero = WALK_VALUES[semiring]
+    text = (
+        f"semiring {semiring};\ndomain {{a, b}};\nvar x, y, z;\n"
+        f"constraint c(x) {{ (a) = {hi}; (b) = {lo}; }}\n"
+        f"constraint d(x) {{ (a) = {lo}; (b) = {hi}; }}\n"
+        f"constraint g(x) {{ (a) = {lo}; (b) = {lo}; }}\n"
+        f"constraint e(x, y) {{ (a, a) = {hi}; default = {lo}; }}\n"
+        f"constraint cz(x) {{ (a) = {zero}; (b) = {zero}; }}\n"
+        f"constraint ch(x) {{ (a) = {hi}; (b) = {hi}; }}\n"
+        f"proc p(x) :: tell(c(x)) -> ask(c(x)) ->^L stop;\n"
+        f"proc q(x) :: ask(c(x)) -> q(x) + ask(d(x)) -> tell(c(x)) -> stop;\n"
+        f"agent = {body};\n"
+    )
+    for mark, value in (("^L", level), ("^H", hi), ("^Z", zero)):
+        text = text.replace(mark, "^" + value)
+    return parse_program(text)
+
+
+@pytest.mark.parametrize("semiring", sorted(WALK_VALUES))
+def test_step_walk_matches_reference_by_hand(semiring):
+    for body in WALK_AGENTS:
+        p = walk_program(semiring, body)
+        assert_walk_matches_reference(p)
+        # cut at one, every threshold is raised, so failures carry pruned
+        assert_walk_matches_reference(cut_program(p, p.system.constant(p.semiring.one)))
+
+
+def test_step_walk_matches_reference_on_generated_programs():
+    for _, p in gen_programs(7, 40):
+        assert_walk_matches_reference(p)
+
+
+def test_step_walk_matches_reference_on_fixtures():
+    for path in sorted(pathlib.Path(__file__).resolve().parents[1].glob("fixtures/*.scc")):
+        try:
+            p = parse_program(path.read_text())
+        except ProgramError:
+            continue
+        if p.main is not None:
+            assert_walk_matches_reference(p)
