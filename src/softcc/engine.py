@@ -4,7 +4,11 @@ The store starts at constant one and only ever moves down the constraint
 order as tells combine new constraints in.  Each tell folds into one of
 its factors, whose supports form an antichain, so n tells cost O(n); best
 level, entailment and projections go through variable elimination so the
-joint table is never built unless it is small.
+joint table is never built unless it is small.  Each store memoises its
+tells: every schedule that tells the same constraint to the same store
+gets one shared successor, with its key and entailment answers computed
+once.  That is exact, as a fold reads nothing but the store and the
+constraint, and weak, so a store lives only while a run holds it.
 
 A configuration is an agent plus a store (plus the fresh-name counters a
 run has used).  ``step`` returns every rule application at once:
@@ -29,13 +33,15 @@ met an on-path repeat or the step bound, with its height (the steps down
 to its deepest running configuration), and reused at depth d only while
 d + height stays below the step bound.  ``iter_runs`` yields the runs one
 by one in leftmost order.  ``run_one`` follows a single run under a
-leftmost or seeded random policy.
+leftmost or seeded random policy; leftmost builds only the moves of the
+first component that can move.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -84,16 +90,23 @@ class Store:
 
     ``told`` holds the canonical key of every told constraint (by default,
     of each given factor); x is intensive, so the store entails each one.
+
+    Each store memoises its tells (see ``tell``), so a repeated tell returns
+    one successor whose key, hash, level and entailment answers are warm.
     """
 
-    __slots__ = ("system", "factors", "told", "_key", "_blevel", "_entails", "_mat")
+    __slots__ = (
+        "system", "factors", "told", "_key", "_hash", "_blevel", "_entails", "_mat", "_tells",
+        "__weakref__",
+    )
 
     def __init__(self, system, factors: Tuple[Constraint, ...] = (), told=None):
         self.system = system
         self.factors = factors
         self.told = frozenset(f.canonical_key() for f in factors) if told is None else told
-        self._key = self._blevel = self._mat = None
+        self._key = self._hash = self._blevel = self._mat = None
         self._entails = {}
+        self._tells = {}
 
     def tell(self, c: Constraint) -> "Store":
         """The store after combining c in.
@@ -105,10 +118,24 @@ class Store:
         idempotent x, re-telling a constraint already told leaves the store
         pointwise unchanged, so the store itself is returned; that keeps
         repeated tells recognizable as repeats.
+
+        Other results are memoised weakly under c's variables and canonical
+        key; the fold reads nothing else of c, so the memo is exact.  Stores
+        are not interned by ``key()``: equal keys can hide different
+        variables, and so successors on different sides of the pointwise cap.
         """
         ck = c.canonical_key()
         if ck in self.told and self.system.semiring.idempotent_times:
             return self
+        memo = (c.vars, ck)
+        ref = self._tells.get(memo)
+        new = ref() if ref is not None else None
+        if new is None:
+            new = self._fold(c, ck)
+            self._tells[memo] = weakref.ref(new)
+        return new
+
+    def _fold(self, c: Constraint, ck) -> "Store":
         told = self.told if ck in self.told else self.told | {ck}
         cv = set(c.vars)
         for i, f in enumerate(self.factors):
@@ -133,10 +160,12 @@ class Store:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Store) and self.key() == other.key()
+        return self is other or isinstance(other, Store) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def materialize(self) -> Constraint:
         """The store as one constraint; only sensible while it stays small."""
@@ -270,14 +299,15 @@ def _leaf(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
     raise EngineError(f"not an agent: {agent!r}")
 
 
-def _moves(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
+def _moves(agent: Agent, store: Store, fresh: Dict[str, int], program: Program, first=False):
     """All rule applications of an agent: (moves, hang-candidates).
 
     One walk over the Par and exists nodes with an explicit stack.  Each
     component carries ``up``, a linked list (left?, other side, up) of the
     Par nodes above it; a run of directly nested binders opens with one
     substitution, on fresh counters of the component's own; and each move of
-    a leaf is lifted through its ``up`` once.
+    a leaf is lifted through its ``up`` once.  With ``first``, the walk ends
+    at the first leaf that moves, leftmost; its moves come first either way.
     """
     out, hangs = [], []
     todo = [(agent, None, fresh)]
@@ -307,18 +337,22 @@ def _moves(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
                     new = Par(new, other) if left else Par(other, new)
                 mv = _Move(mv.rule, "running", new, mv.store, mv.fresh)
             out.append(mv)
+        if first and out:
+            break
     return out, hangs
 
 
-def step(cfg: Configuration, program: Program) -> List[StepEdge]:
+def step(cfg: Configuration, program: Program, first=False) -> List[StepEdge]:
     """Every rule application from a configuration, deduplicated.
 
     Terminal configurations have no successors.  A running configuration
     where nothing can move and at least one ask is waiting steps to Hang.
+    With ``first``, only the moves of the leftmost leaf that moves are
+    built; the first edge is the same.
     """
     if cfg.kind != "running":
         return []
-    moves, hangs = _moves(cfg.agent, cfg.store, dict(cfg.fresh), program)
+    moves, hangs = _moves(cfg.agent, cfg.store, dict(cfg.fresh), program, first)
     edges: List[StepEdge] = []
     seen = set()
     for mv in moves:
@@ -535,7 +569,7 @@ def run_one(
     while True:
         if len(trace) >= limits.max_steps:
             return RunRecord("bound_exceeded", None, tuple(trace))
-        edges = step(cfg, program)
+        edges = step(cfg, program, first=rng is None)
         edge = edges[0] if rng is None else rng.choice(edges)
         nxt = edge.target
         trace.append((edge.rule, nxt))

@@ -97,8 +97,7 @@ def test_run_recursive_weighted_tell_reaches_the_step_limit(tmp_path):
 
 def test_too_deep_program_is_a_clean_error(tmp_path):
     # nesting depth is bounded by no recursion limit: 2,000 nested
-    # ( stop || … ) check ok (running them would take hours, as every
-    # component can move at every step)
+    # ( stop || … ) check ok
     text = (
         "semiring fuzzy;\ndomain {a, b};\nvar x;\n"
         "agent = " + "(stop || " * 2000 + "stop" + ")" * 2000 + ";\n"
@@ -115,6 +114,18 @@ def test_too_deep_program_is_a_clean_error(tmp_path):
     assert got.returncode == 3, got.stderr
     assert got.stdout.startswith("terminal: hang")
     assert "Traceback" not in got.stderr
+
+
+def test_run_deep_parallel_stops(tmp_path):
+    # every component can move at every step; the leftmost policy builds
+    # only the moves of the first one, so 2,001 steps take a walk each
+    text = (
+        "semiring fuzzy;\ndomain {a, b};\nvar x;\n"
+        "agent = " + "(stop || " * 2000 + "stop" + ")" * 2000 + ";\n"
+    )
+    got = run_subprocess("run", write(tmp_path, text), timeout=120)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.startswith("terminal: success\nsteps: 2001\n")
 
 
 def test_check_duplicate_proc(capsys):

@@ -1,7 +1,10 @@
 """Small-step execution: rules, interleaving, termination verdicts."""
 
+import gc
 import pathlib
 import random
+import sys
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -11,6 +14,7 @@ from test_constraints import rand_constraint, small_systems
 
 from softcc import (
     Configuration,
+    Constraint,
     EngineError,
     FUZZY,
     RunLimits,
@@ -20,6 +24,7 @@ from softcc import (
     initial_configuration,
     iter_runs,
     leqc,
+    observe,
     oplus,
     parse_program,
     pointwise_eq,
@@ -31,6 +36,7 @@ from softcc import (
     strictly_below,
     tensor_all,
 )
+from softcc import constraints
 from softcc.lang import (
     Agent,
     Ask,
@@ -48,6 +54,7 @@ from softcc.lang import (
     substitute,
 )
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 H = "semiring fuzzy;\ndomain {a, b};\nvar x, y, z;\n"
 
 
@@ -389,6 +396,75 @@ def test_store_fold_matches_the_dense_joint_table():
             assert len(supports) <= len({frozenset(c.vars) for c in told})
 
 
+def test_store_tells_are_memoised():
+    sysf = ConstraintSystem(FUZZY, ("a", "b"))
+    s = Store(sysf)
+    c = sysf.constant(0.5)
+    assert s.tell(c) is s.tell(c)
+    s1 = s.tell(c)
+    assert s1.tell(c) is s1  # the idempotent re-tell comes before the memo
+    # the memo holds its results weakly: nothing outlives the last holder
+    gone = weakref.ref(s.tell(sysf.constant(0.7)))
+    gc.collect()
+    assert gone() is None
+    assert s.tell(sysf.constant(0.7)).blevel() == pytest.approx(0.7)
+
+
+def test_store_memo_matches_a_fresh_fold():
+    # tells from a pool, repeated from the same stores, give what a store
+    # with an empty memo computes; the pool holds copies of one function
+    # under a permuted variable tuple, which fold to different factors
+    rng = random.Random("store-memo")
+
+    def shape(store):
+        return store.key(), store.told, tuple((f.vars, f.canonical_key()) for f in store.factors)
+
+    for system in small_systems():
+        pool = [rand_constraint(system, rng, pool=("w", "x", "y", "z")) for _ in range(5)]
+        for c in list(pool):
+            if len(c.vars) > 1:
+                order = c.vars[::-1]
+                table = {k[::-1]: v for k, v in c.table.items()}
+                pool.append(Constraint(system, order, table, c.default))
+        stores = [Store(system)]
+        for _ in range(40):
+            store, c = rng.choice(stores), rng.choice(pool)
+            got = store.tell(c)
+            assert shape(got) == shape(Store(system, store.factors, store.told).tell(c))
+            stores.append(got)
+    # one variable per tell, past the pointwise cap: factor-keyed stores
+    sysf = ConstraintSystem(FUZZY, ("a", "b"))
+    wide = [Constraint(sysf, (f"v{i}",), {("a",): 0.9, ("b",): 0.8}) for i in range(13)]
+    store = Store(sysf)
+    for c in wide + wide[:3]:
+        got = store.tell(c)
+        assert shape(got) == shape(Store(sysf, store.factors, store.told).tell(c))
+        assert store.tell(c) is got
+        store = got
+    assert store.key()[0] == "fs"
+
+
+def test_observe_on_the_network_fixture_reuses_store_transitions(monkeypatch):
+    # every interleaving tells onto the same stores; the memo makes each
+    # distinct (store, constraint) tell once.  The work is counted, not timed.
+    calls = [0]
+    original = constraints.tensor
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "softcc" or name.startswith("softcc."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    p = parse_program((ROOT / "fixtures" / "network.scc").read_text())
+    got = observe(p)
+    assert got.result.expansions == 526
+    assert calls[0] <= 400  # 807 when every interleaving recomputed its tells
+
+
 def test_store_key_regimes():
     sysf = ConstraintSystem(FUZZY, ("a", "b"))
     small = Store(sysf).tell(
@@ -539,6 +615,48 @@ def test_run_one_random_is_seed_reproducible():
     assert a.kind == b.kind == "success"
     seqs = {tuple(rules_of(run_one(p, "random", seed=s))) for s in range(20)}
     assert len(seqs) > 1  # different seeds do schedule differently
+
+
+def follow_first_edges(program, limits=RunLimits()):
+    """run_one's leftmost policy as its definition: follow the first edge
+    of the full step."""
+    cfg = initial_configuration(program)
+    seen, trace = {cfg}, []
+    while len(trace) < limits.max_steps:
+        edge = step(cfg, program)[0]
+        cfg = edge.target
+        trace.append((edge.rule, cfg))
+        if cfg.kind != "running":
+            return cfg.kind, cfg, trace
+        if cfg in seen:
+            return "divergent", None, trace
+        if cfg.fresh_total() > limits.max_fresh_vars:
+            return "bound_exceeded", None, trace
+        seen.add(cfg)
+    return "bound_exceeded", None, trace
+
+
+def fixture_programs():
+    """The fixtures that parse and have an agent."""
+    out = []
+    for path in sorted((ROOT / "fixtures").glob("*.scc")):
+        try:
+            p = parse_program(path.read_text())
+        except ProgramError:
+            continue
+        if p.main is not None:
+            out.append(p)
+    return out
+
+
+def test_run_one_leftmost_follows_the_first_edge():
+    programs = [p for _, p in gen_programs(7, 40)] + fixture_programs()
+    programs += [walk_program(semiring, body) for semiring in sorted(WALK_VALUES) for body in WALK_AGENTS]
+    programs += [prog(body, DEEP_EXTRA) for body in ("( stop || " * 50 + "stop" + " )" * 50, DEEP_EXISTS)]
+    limits = RunLimits(max_steps=60, max_fresh_vars=20_000)
+    for p in programs:
+        one = run_one(p, "leftmost", limits=limits)
+        assert (one.kind, one.config, list(one.trace)) == follow_first_edges(p, limits)
 
 
 def test_run_one_policy_validation():
@@ -824,10 +942,5 @@ def test_step_walk_matches_reference_on_generated_programs():
 
 
 def test_step_walk_matches_reference_on_fixtures():
-    for path in sorted(pathlib.Path(__file__).resolve().parents[1].glob("fixtures/*.scc")):
-        try:
-            p = parse_program(path.read_text())
-        except ProgramError:
-            continue
-        if p.main is not None:
-            assert_walk_matches_reference(p)
+    for p in fixture_programs():
+        assert_walk_matches_reference(p)
