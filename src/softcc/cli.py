@@ -50,6 +50,8 @@ def _load(path):
             text = fh.read()
     except OSError as e:
         raise _CliError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise _CliError(f"{path}: not UTF-8: {e}") from None
     try:
         return parse_program(text)
     except ProgramError as e:

@@ -31,10 +31,12 @@ divergence, and counting maximal runs exactly as path enumeration does.
 Its memo is exact: a configuration is memoised only when none of its runs
 met an on-path repeat or the step bound, with its height (the steps down
 to its deepest running configuration), and reused at depth d only while
-d + height stays below the step bound.  ``iter_runs`` yields the runs one
-by one in leftmost order.  ``run_one`` follows a single run under a
-leftmost or seeded random policy; leftmost builds only the moves of the
-first component that can move.
+d + height stays below the step bound.  Its traces are chains ((rule,
+configuration), rest) ending in () that share their tails, flattened
+once, at the root.  ``iter_runs`` yields the runs one by one in leftmost
+order.  ``run_one`` follows a single run under a leftmost or seeded
+random policy; leftmost builds only the moves of the first component
+that can move.
 """
 
 from __future__ import annotations
@@ -96,17 +98,15 @@ class Store:
     """
 
     __slots__ = (
-        "system", "factors", "told", "_key", "_hash", "_blevel", "_entails", "_mat", "_tells",
-        "__weakref__",
+        "system", "factors", "told", "_key", "_hash", "_proj", "_entails", "_tells", "__weakref__"
     )
 
     def __init__(self, system, factors: Tuple[Constraint, ...] = (), told=None):
         self.system = system
         self.factors = factors
         self.told = frozenset(f.canonical_key() for f in factors) if told is None else told
-        self._key = self._hash = self._blevel = self._mat = None
-        self._entails = {}
-        self._tells = {}
+        self._key = self._hash = None
+        self._proj, self._entails, self._tells = {}, {}, {}
 
     def tell(self, c: Constraint) -> "Store":
         """The store after combining c in.
@@ -169,14 +169,10 @@ class Store:
 
     def materialize(self) -> Constraint:
         """The store as one constraint; only sensible while it stays small."""
-        if self._mat is None:
-            self._mat = combine_project(self.factors, self.vars(), self.system)
-        return self._mat
+        return self.project(self.vars())
 
     def blevel(self) -> Value:
-        if self._blevel is None:
-            self._blevel = combine_project(self.factors, (), self.system).scalar()
-        return self._blevel
+        return self.project(()).scalar()
 
     def entails(self, c: Constraint) -> bool:
         ck = c.canonical_key()
@@ -184,8 +180,7 @@ class Store:
             return True  # x is intensive: the store lies below all it was told
         got = self._entails.get(ck)
         if got is None:
-            proj = combine_project(self.factors, c.vars, self.system)
-            got = self._entails[ck] = leqc(proj, c)
+            got = self._entails[ck] = leqc(self.project(c.vars), c)
         return got
 
     def witness(self, c: Constraint) -> Optional[dict]:
@@ -199,7 +194,12 @@ class Store:
         return self.entails(phi) and strictly_below(self.materialize(), phi)
 
     def project(self, keep) -> Constraint:
-        return combine_project(self.factors, keep, self.system)
+        """The store projected onto keep, cached by the set of its variables."""
+        k = frozenset(keep)
+        got = self._proj.get(k)
+        if got is None:
+            got = self._proj[k] = combine_project(self.factors, k, self.system)
+        return got
 
     def value_at(self, assignment) -> Value:
         s = self.system.semiring
@@ -381,7 +381,9 @@ class RunLimits:
 
 @dataclass
 class RunRecord:
-    """One (class of) maximal run: terminal kind, final state, one trace."""
+    """One (class of) maximal run: terminal kind, final state, one trace.
+
+    ``run_all`` flattens each class's shared trace chain once, at the root."""
 
     kind: str  # success | fail | hang | divergent | bound_exceeded
     config: Optional[Configuration]
@@ -405,12 +407,6 @@ class RunResult:
     expansions: int
 
 
-def _record_key(rec: RunRecord):
-    if rec.kind in ("divergent", "bound_exceeded"):
-        return (rec.kind, None)
-    return (rec.kind, rec.config)
-
-
 class _Frame:
     __slots__ = ("rule", "cfg", "depth", "edges", "idx", "agg", "height")
 
@@ -420,28 +416,26 @@ class _Frame:
         self.depth = depth
         self.edges = edges
         self.idx = 0
-        self.agg: Dict = {}
+        self.agg: Dict = {}  # (kind, config or None) -> [kind, config, trace, paths, pruned]
         # steps down to the deepest running configuration below; inf once a
         # run below met an on-path repeat or the step bound
         self.height = 0
 
 
-def _merge(agg: Dict, rec: RunRecord):
-    key = _record_key(rec)
-    old = agg.get(key)
+def _merge(agg: Dict, kind, config, trace, paths=1, pruned=0):
+    old = agg.get((kind, config))
     if old is None:
-        agg[key] = rec
+        agg[kind, config] = [kind, config, trace, paths, pruned]
     else:
-        old.paths += rec.paths
-        old.pruned += rec.pruned
+        old[3] += paths
+        old[4] += pruned
 
 
-def _fold(f: _Frame, rule: str, cfg: Configuration, records, height) -> None:
-    """Fold the runs from cfg, reached by rule, into frame f."""
+def _fold(f: _Frame, rule: str, cfg: Configuration, rows, height) -> None:
+    """Fold the run classes from cfg, reached by rule, into frame f."""
     f.height = max(f.height, height + 1)
-    for rec in records:
-        trace = ((rule, cfg),) + rec.trace
-        _merge(f.agg, RunRecord(rec.kind, rec.config, trace, rec.paths, rec.pruned))
+    for kind, config, trace, paths, pruned in rows:
+        _merge(f.agg, kind, config, ((rule, cfg), trace), paths, pruned)
 
 
 def initial_configuration(program: Program) -> Configuration:
@@ -463,9 +457,7 @@ def run_all(
     result counts the runs met up to and including that one.
     """
     init = initial_configuration(program)
-    memo: Dict[Configuration, List[RunRecord]] = {}
-    # kept apart: a (records, height) tuple per frame makes the GC rescan long traces
-    heights: Dict[Configuration, int] = {}
+    memo: Dict[Configuration, Tuple[list, int]] = {}  # cfg -> (rows, height)
     onpath = {init}
     root = _Frame(None, init, 0, step(init, program))
     expansions = 1
@@ -479,22 +471,22 @@ def run_all(
             f.idx += 1
             rule, nxt = edge.rule, edge.target
             if nxt.kind != "running":
-                _merge(f.agg, RunRecord(nxt.kind, nxt, ((rule, nxt),), 1, int(edge.pruned)))
+                _merge(f.agg, nxt.kind, nxt, ((rule, nxt), ()), 1, int(edge.pruned))
                 stopped = nxt.kind == "success" and stop is not None and stop(nxt.store)
                 continue
             hit = memo.get(nxt)
-            if hit is not None and f.depth + 1 + heights[nxt] < limits.max_steps:
-                _fold(f, rule, nxt, hit, heights[nxt])
+            if hit is not None and f.depth + 1 + hit[1] < limits.max_steps:
+                _fold(f, rule, nxt, *hit)
                 continue
             if nxt in onpath:
                 f.height = math.inf  # the verdict depends on the path
-                _merge(f.agg, RunRecord("divergent", None, ((rule, nxt),)))
+                _merge(f.agg, "divergent", None, ((rule, nxt), ()))
                 continue
             too_deep = f.depth + 1 >= limits.max_steps
             if too_deep or nxt.fresh_total() > limits.max_fresh_vars:
                 if too_deep:
                     f.height = math.inf  # the verdict depends on the depth
-                _merge(f.agg, RunRecord("bound_exceeded", None, ()))
+                _merge(f.agg, "bound_exceeded", None, ())
                 continue
             stack.append(_Frame(rule, nxt, f.depth + 1, step(nxt, program)))
             expansions += 1
@@ -503,14 +495,22 @@ def run_all(
         # frame complete, or unwinding after a stop
         stack.pop()
         onpath.discard(f.cfg)
-        records = list(f.agg.values())
+        rows = list(f.agg.values())
         if not stopped and f.height < math.inf:
-            memo[f.cfg], heights[f.cfg] = records, f.height
+            memo[f.cfg] = rows, f.height
         if stack:
-            _fold(stack[-1], f.rule, f.cfg, records, f.height)
+            _fold(stack[-1], f.rule, f.cfg, rows, f.height)
 
-    records = list(root.agg.values())
+    records = [RunRecord(k, c, _flatten(t), n, p) for k, c, t, n, p in root.agg.values()]
     return RunResult(records, sum(r.paths for r in records), expansions)
+
+
+def _flatten(chain) -> tuple:
+    links = []
+    while chain:
+        link, chain = chain
+        links.append(link)
+    return tuple(links)
 
 
 def iter_runs(

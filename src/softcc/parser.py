@@ -105,30 +105,34 @@ def tokenize(text: str) -> List[Token]:
             toks.append(Token(ch, ch, start_line, start_col))
             i, col = i + 1, col + 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() and float() accept
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             isfloat = False
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdecimal():
                 isfloat = True
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j].isdecimal():
                     j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k].isdecimal():
                     isfloat = True
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j].isdecimal():
                         j += 1
             lit = text[i:j]
             if isfloat:
                 toks.append(Token("FLOAT", float(lit), start_line, start_col))
             else:
-                toks.append(Token("INT", int(lit), start_line, start_col))
+                try:
+                    toks.append(Token("INT", int(lit), start_line, start_col))
+                except ValueError:  # longer than the interpreter's digit limit
+                    pos = (start_line, start_col)
+                    raise ParseError(f"integer of {len(lit)} digits is too long", pos) from None
             col += j - i
             i = j
             continue
@@ -199,7 +203,7 @@ class _Parser:
     def value(self):
         t = self.next()
         if t.kind in ("INT", "FLOAT"):
-            return t.value if t.kind == "FLOAT" else t.value
+            return t.value
         if t.kind == "IDENT":
             if t.value == "true":
                 return True

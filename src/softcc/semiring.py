@@ -60,7 +60,10 @@ class Semiring:
             return v
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise CarrierError(f"{self.kind} semiring needs a number, got {v!r}")
-        f = float(v)
+        try:
+            f = float(v)
+        except OverflowError:  # an int too large for a float, too large to print as one
+            raise CarrierError(f"{self.kind} semiring value does not fit a float") from None
         if math.isnan(f):
             raise CarrierError("NaN is not a semiring value")
         if self.kind in ("fuzzy", "probabilistic"):

@@ -141,6 +141,32 @@ def test_check_missing_file(capsys):
     assert "no_such_file.scc" in err
 
 
+HEAD = "semiring weighted;\ndomain {a, b};\nvar x;\n"
+TOO_BIG = "1" + "0" * 400  # an integer no float holds
+
+
+@pytest.mark.parametrize(
+    "cmd, text",
+    [
+        ("check", HEAD + "agent = tell(const(\u00b2)) -> stop;\n"),  # a digit int() rejects
+        ("check", HEAD + "agent = tell(const(1\u00b2)) -> stop;\n"),
+        ("check", HEAD + "agent = tell(const(" + "1" * 5000 + ")) -> stop;\n"),
+        ("check", HEAD + f"agent = tell(const({TOO_BIG})) -> stop;\n"),
+        ("check", HEAD + f"constraint c(x) {{ (a) = {TOO_BIG}; (b) = 1; }}\nagent = stop;\n"),
+        ("run", HEAD + f"agent = tell(const(1)) ->^{TOO_BIG} stop;\n"),
+        ("run", b"\xff" + HEAD.encode() + b"agent = stop;\n"),  # not UTF-8
+    ],
+)
+def test_odd_literals_and_encodings_are_clean_errors(tmp_path, cmd, text):
+    path = tmp_path / "prog.scc"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    got = run_subprocess(cmd, str(path), timeout=60)
+    assert got.returncode == 1
+    assert "Traceback" not in got.stderr
+    lines = got.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("scc: error: "), got.stderr
+
+
 def test_check_syntax_error_position(tmp_path, capsys):
     path = write(tmp_path, "semiring fuzzy;\ndomain {a};\nvar x;\nagent = tell(;\n")
     code, out, err = run_main(capsys, "check", path)

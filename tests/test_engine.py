@@ -4,6 +4,7 @@ import gc
 import pathlib
 import random
 import sys
+import time
 import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -394,6 +395,11 @@ def test_store_fold_matches_the_dense_joint_table():
                 a <= b for i, a in enumerate(supports) for j, b in enumerate(supports) if i != j
             )
             assert len(supports) <= len({frozenset(c.vars) for c in told})
+            # one projection cache per store, keyed by the set kept
+            keep = rng.sample(("w", "x", "y", "z"), rng.randrange(0, 5))
+            assert pointwise_eq(store.project(keep), project(joint, keep))
+            assert store.project(keep) is store.project(tuple(reversed(keep)))
+            assert store.materialize() is store.project(store.vars())
 
 
 def test_store_tells_are_memoised():
@@ -689,6 +695,24 @@ def test_long_arrow_chain_parses_prints_and_runs():
     result = run_all(p)
     assert single(result, "success").paths == 1
     assert result.total_runs == 1
+
+
+def test_run_all_trace_is_linear_in_depth():
+    # records share their trace tails, so run_all is not quadratic in depth
+    p = prog(tell_chain(10_000) + " -> stop", DEEP_EXTRA)
+    rec = single(run_all(p), "success")
+    assert rec.steps == 10_001 and rec.trace == run_one(p).trace
+
+    def best_of_3(links):
+        q = prog(tell_chain(links) + " -> stop", DEEP_EXTRA)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            run_all(q)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_3(20_000) <= 8 * best_of_3(5_000)
 
 
 def test_deep_recursive_proc_is_divergent():
