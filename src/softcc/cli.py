@@ -21,13 +21,14 @@ import os
 import sys
 
 from .constraints import ConstraintError
-from .engine import EngineError, RunLimits, run_one
+from .engine import EngineError, RunLimits, _Session, run_all, run_one
 from .lang import ProgramError, Ref, format_value
 from .observe import (
     ObserveError,
     constraint_json,
     constraint_text,
     observables_json,
+    observables_of,
     observe,
     run_record_json,
     solve_bb,
@@ -193,8 +194,10 @@ def cmd_bb(args) -> int:
     program = _load(args.file)
     _require_agent(program)
     limits = _limits(args)
-    psi, stats = solve_bb(program, limits)
-    obs = observe(program, limits=limits)
+    # explore first, so the bb passes start on the stores it reached
+    session = _Session(program.system)
+    obs = observables_of(program, run_all(program, limits, _session=session))
+    psi, stats = solve_bb(program, limits, _session=session)
     doc = observables_json(obs, bb=stats)
     doc["dk_solution"] = constraint_json(psi)
     lines = _observe_lines(obs, bb=stats)
@@ -266,12 +269,22 @@ def main(argv=None) -> int:
             print("scc: error: --seed only applies to --policy random", file=sys.stderr)
             return 1
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        if sys.stdout is not None:  # None when scc was started with stdout closed
+            sys.stdout.flush()  # a full stdout or a closed pipe fails here, not at exit
+        return code
     except _CliError as e:
         print(f"scc: error: {e}", file=sys.stderr)
         return e.code
     except (ProgramError, ConstraintError, EngineError, ObserveError) as e:
         print(f"scc: error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:  # BrokenPipeError included; the file reads report their own
+        # what is left in stdout's buffer is flushed again at exit, to nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"scc: error: cannot write the output: {e.strerror or e}", file=sys.stderr)
         return 1
 
 

@@ -33,10 +33,22 @@ met an on-path repeat or the step bound, with its height (the steps down
 to its deepest running configuration), and reused at depth d only while
 d + height stays below the step bound.  Its traces are chains ((rule,
 configuration), rest) ending in () that share their tails, flattened
-once, at the root.  ``iter_runs`` yields the runs one by one in leftmost
-order.  ``run_one`` follows a single run under a leftmost or seeded
-random policy; leftmost builds only the moves of the first component
-that can move.
+once, at the root.
+
+A leaf (tell, ask, stop, choice or call) moves by looking at itself and
+the store alone, and parallel composition lifts that move unchanged.  So
+each ``run_all`` call owns a leaf memo, keyed by store identity and leaf:
+a leaf met again at the same store, in any configuration, costs one
+lookup, and only the component's own fresh counters are put back when
+its moves are lifted.  Only fresh-free leaves are memoised: a choice
+with a Par or exists branch, at any depth of nested choice, names fresh
+variables that depend on the counters.  Each entry pins its store, so the
+memo belongs to the exploration and not to the store; the stores it holds
+are freed when the call, or the session that branch and bound hands it,
+ends.  ``iter_runs`` yields the runs one by one in leftmost order and
+keeps no leaf memo, so it stays an independent oracle.  ``run_one``
+follows a single run under a leftmost or seeded random policy; leftmost
+builds only the moves of the first component that can move.
 """
 
 from __future__ import annotations
@@ -94,11 +106,14 @@ class Store:
     of each given factor); x is intensive, so the store entails each one.
 
     Each store memoises its tells (see ``tell``), so a repeated tell returns
-    one successor whose key, hash, level and entailment answers are warm.
+    one successor whose key, hash, level, entailment and cut answers are
+    warm.  What a leaf agent does at the store is memoised by ``run_all``,
+    not here, so that no store keeps the stores its runs reached alive.
     """
 
     __slots__ = (
-        "system", "factors", "told", "_key", "_hash", "_proj", "_entails", "_tells", "__weakref__"
+        "system", "factors", "told", "_key", "_hash", "_proj", "_entails", "_below", "_tells",
+        "__weakref__",
     )
 
     def __init__(self, system, factors: Tuple[Constraint, ...] = (), told=None):
@@ -106,7 +121,7 @@ class Store:
         self.factors = factors
         self.told = frozenset(f.canonical_key() for f in factors) if told is None else told
         self._key = self._hash = None
-        self._proj, self._entails, self._tells = {}, {}, {}
+        self._proj, self._entails, self._below, self._tells = {}, {}, {}, {}
 
     def tell(self, c: Constraint) -> "Store":
         """The store after combining c in.
@@ -189,9 +204,13 @@ class Store:
         return entails_witness(list(factors), c)
 
     def below_cut(self, phi: Constraint) -> bool:
-        # only a store that entails phi can lie below it, and entailment
-        # needs no joint table
-        return self.entails(phi) and strictly_below(self.materialize(), phi)
+        ck = phi.canonical_key()
+        got = self._below.get(ck)
+        if got is None:
+            # only a store that entails phi can lie below it, and entailment
+            # needs no joint table
+            got = self._below[ck] = self.entails(phi) and strictly_below(self.materialize(), phi)
+        return got
 
     def project(self, keep) -> Constraint:
         """The store projected onto keep, cached by the set of its variables."""
@@ -221,6 +240,14 @@ class Configuration:
     store: Store
     fresh: Tuple[Tuple[str, int], ...] = ()
     blocked: Tuple[Constraint, ...] = field(default=(), compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # every memo, on-path and seen lookup hashes it, so hash it once
+        object.__setattr__(self, "_hash", hash((self.kind, self.agent, self.store, self.fresh)))
+
+    def __hash__(self):
+        return self._hash
 
     def fresh_total(self) -> int:
         return sum(n for _, n in self.fresh)
@@ -239,7 +266,7 @@ class _Move:
     kind: str  # running | success | fail
     agent: Optional[Agent]
     store: Store
-    fresh: Dict[str, int]
+    fresh: Optional[Dict[str, int]]  # None: the counters of the component that moves
     pruned: bool = False
 
 
@@ -251,9 +278,18 @@ _RULES = {
 }
 
 
+def _fresh_free(agent: Agent) -> bool:
+    """Whether a leaf's moves cannot depend on the fresh counters: no
+    choice branch, at any depth of nested choice, is a Par or an exists."""
+    return not isinstance(agent, Sum) or all(
+        not isinstance(b, (Par, Exists)) and _fresh_free(b) for b in agent.branches
+    )
+
+
 def _leaf(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
     """The rule applications of an agent that is neither a Par nor an
-    exists: (moves, hang-candidates)."""
+    exists: (moves, hang-candidates).  Its own moves carry no counters;
+    only a choice's Par or exists branches pass theirs on."""
     if isinstance(agent, (Tell, Ask)):
         fires, fails, waits = _RULES[type(agent), type(agent.threshold)]
         c = program.resolve(agent.con)
@@ -264,13 +300,13 @@ def _leaf(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
         else:
             failed = isinstance(t, Cut) and new.below_cut(program.threshold_constraint(t))
         if failed:
-            return [_Move(fails, "fail", None, store, fresh, isinstance(t, Cut) and t.raised)], []
+            return [_Move(fails, "fail", None, store, None, isinstance(t, Cut) and t.raised)], []
         if isinstance(agent, Ask) and not store.entails(c):
             return [], [(waits, c)]
-        return [_Move(fires, "running", agent.body, new, fresh)], []
+        return [_Move(fires, "running", agent.body, new, None)], []
 
     if isinstance(agent, Stop):
-        return [_Move("stop", "success", None, store, fresh)], []
+        return [_Move("stop", "success", None, store, None)], []
 
     if isinstance(agent, Sum):
         proceeds, fails, hangs = [], [], []
@@ -284,7 +320,7 @@ def _leaf(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
         if not hangs:
             # every branch failed its threshold check
             pruned = any(mv.pruned for mv in fails)
-            return [_Move("choice-fail", "fail", None, store, fresh, pruned)], []
+            return [_Move("choice-fail", "fail", None, store, None, pruned)], []
         return [], [("choice-hang", c) for _, c in hangs]
 
     if isinstance(agent, Call):
@@ -294,21 +330,32 @@ def _leaf(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
         if len(agent.args) != len(d.params):
             raise EngineError(f"arity mismatch calling {agent.name!r}")
         body = substitute(d.body, dict(zip(d.params, agent.args)))
-        return [_Move("call", "running", body, store, fresh)], []
+        return [_Move("call", "running", body, store, None)], []
 
     raise EngineError(f"not an agent: {agent!r}")
 
 
-def _moves(agent: Agent, store: Store, fresh: Dict[str, int], program: Program, first=False):
+def _moves(
+    agent: Agent, store: Store, fresh: Dict[str, int], program: Program, first=False, leaves=None
+):
     """All rule applications of an agent: (moves, hang-candidates).
 
     One walk over the Par and exists nodes with an explicit stack.  Each
     component carries ``up``, a linked list (left?, other side, up) of the
     Par nodes above it; a run of directly nested binders opens with one
     substitution, on fresh counters of the component's own; and each move of
-    a leaf is lifted through its ``up`` once.  With ``first``, the walk ends
-    at the first leaf that moves, leftmost; its moves come first either way.
+    a leaf is lifted through its ``up`` once, with the component's counters.
+    With ``first``, the walk ends at the first leaf that moves, leftmost; its
+    moves come first either way.  ``leaves``, an exploration's leaf memo
+    (see ``run_all``), supplies the result of every fresh-free leaf that
+    already met this store.
     """
+    at = None
+    if leaves is not None:
+        entry = leaves.get(id(store))
+        if entry is None:
+            entry = leaves[id(store)] = (store, {})  # the store is pinned, so its id stays its own
+        at = entry[1]
     out, hangs = [], []
     todo = [(agent, None, fresh)]
     while todo:
@@ -326,37 +373,47 @@ def _moves(agent: Agent, store: Store, fresh: Dict[str, int], program: Program, 
                 a = a.body
             todo.append((substitute(a, names), up, fr))
             continue
-        moves, waiting = _leaf(a, store, fr, program)
+        got = at.get(a) if at is not None else None
+        if got is None:
+            got = _leaf(a, store, fr, program)
+            if at is not None and _fresh_free(a):
+                at[a] = got
+        moves, waiting = got
         hangs += waiting
         for mv in moves:
-            if up is not None and mv.kind != "fail":
+            kind, new = mv.kind, mv.agent
+            if up is not None and kind != "fail":
                 # a side that succeeds continues as the other side
-                new, link = up[1:] if mv.kind == "success" else (mv.agent, up)
+                new, link = up[1:] if kind == "success" else (new, up)
                 while link is not None:
                     left, other, link = link
                     new = Par(new, other) if left else Par(other, new)
-                mv = _Move(mv.rule, "running", new, mv.store, mv.fresh)
-            out.append(mv)
+                kind = "running"
+            counters = fr if mv.fresh is None else mv.fresh
+            out.append(_Move(mv.rule, kind, new, mv.store, counters, mv.pruned))
         if first and out:
             break
     return out, hangs
 
 
-def step(cfg: Configuration, program: Program, first=False) -> List[StepEdge]:
+def step(cfg: Configuration, program: Program, first=False, *, _leaves=None) -> List[StepEdge]:
     """Every rule application from a configuration, deduplicated.
 
     Terminal configurations have no successors.  A running configuration
     where nothing can move and at least one ask is waiting steps to Hang.
     With ``first``, only the moves of the leftmost leaf that moves are
-    built; the first edge is the same.
+    built; the first edge is the same.  ``_leaves`` is ``run_all``'s leaf
+    memo; the edges are the same with or without it.
     """
     if cfg.kind != "running":
         return []
-    moves, hangs = _moves(cfg.agent, cfg.store, dict(cfg.fresh), program, first)
+    fresh = dict(cfg.fresh)
+    moves, hangs = _moves(cfg.agent, cfg.store, fresh, program, first, _leaves)
     edges: List[StepEdge] = []
     seen = set()
     for mv in moves:
-        target = Configuration(mv.kind, mv.agent, mv.store, tuple(sorted(mv.fresh.items())))
+        counters = cfg.fresh if mv.fresh is fresh else tuple(sorted(mv.fresh.items()))
+        target = Configuration(mv.kind, mv.agent, mv.store, counters)
         if target in seen:
             continue
         seen.add(target)
@@ -444,8 +501,23 @@ def initial_configuration(program: Program) -> Configuration:
     return Configuration("running", program.main, Store(program.system), ())
 
 
+class _Session:
+    """One root store for several explorations of one system, and their
+    leaf memos.  Holding the memos keeps every store they reached alive, so
+    a later exploration meets warm successors in ``Store.tell``'s weak memo;
+    all of it is freed with the session."""
+
+    def __init__(self, system):
+        self.root = Store(system)
+        self.leaves: List[Dict] = []
+
+
 def run_all(
-    program: Program, limits: RunLimits = RunLimits(), stop: Optional[Callable[[Store], bool]] = None
+    program: Program,
+    limits: RunLimits = RunLimits(),
+    stop: Optional[Callable[[Store], bool]] = None,
+    *,
+    _session: Optional[_Session] = None,
 ) -> RunResult:
     """Depth-first exploration of every maximal run, leftmost first.
 
@@ -455,11 +527,19 @@ def run_all(
     exactly as path enumeration does.  With ``stop``, a test of the store
     alone, exploration ends at the first success it holds for, and the
     result counts the runs met up to and including that one.
+
+    The call owns its leaf memo (see the module docstring), which goes
+    with it unless ``_session``, a private ``_Session``, holds the memo
+    and supplies the root store.
     """
     init = initial_configuration(program)
+    leaves: Dict[int, tuple] = {}  # id(store) -> (store, {leaf: (moves, waiting)})
+    if _session is not None:
+        init = Configuration("running", program.main, _session.root)
+        _session.leaves.append(leaves)
     memo: Dict[Configuration, Tuple[list, int]] = {}  # cfg -> (rows, height)
     onpath = {init}
-    root = _Frame(None, init, 0, step(init, program))
+    root = _Frame(None, init, 0, step(init, program, _leaves=leaves))
     expansions = 1
     stack = [root]
     stopped = False
@@ -488,7 +568,7 @@ def run_all(
                     f.height = math.inf  # the verdict depends on the depth
                 _merge(f.agg, "bound_exceeded", None, ())
                 continue
-            stack.append(_Frame(rule, nxt, f.depth + 1, step(nxt, program)))
+            stack.append(_Frame(rule, nxt, f.depth + 1, step(nxt, program, _leaves=leaves)))
             expansions += 1
             onpath.add(nxt)
             continue

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .constraints import Constraint, leqc, oplus, oplus_all, pointwise_eq, strictly_below
-from .engine import RunLimits, RunRecord, RunResult, run_all
+from .engine import RunLimits, RunRecord, RunResult, _Session, run_all
 from .lang import (
     Agent,
     Ask,
@@ -181,7 +181,7 @@ class BBStats:
 
 
 def solve_bb(
-    program: Program, limits: RunLimits = RunLimits()
+    program: Program, limits: RunLimits = RunLimits(), *, _session: Optional[_Session] = None
 ) -> Tuple[Constraint, BBStats]:
     """The don't-know solution by iterated cuts.
 
@@ -190,6 +190,13 @@ def solve_bb(
     restarts; a complete pass that finds nothing new ends the search.
     Runs are counted leftmost first, as path enumeration meets them.  The
     returned constraint pointwise equals the +-fold over all successes.
+
+    Every pass starts from one root store, in one session that keeps each
+    pass's leaf memo, and so every store it reached, alive until the call
+    returns: later passes re-tell onto warm stores.  Each pass keeps a leaf
+    memo of its own, as the cut programs unfold one call to different
+    bodies.  ``_session`` hands on the session of an earlier exploration
+    of the same program, as ``scc bb`` does.
     """
     if program.main is None:
         raise ObserveError("program has no agent to run")
@@ -200,6 +207,7 @@ def solve_bb(
             "a semiring-level threshold cannot be raised to a bound"
         )
     system = program.system
+    session = _Session(system) if _session is None else _session
     obs = observation_vars(program)
     psi = system.constant(system.semiring.zero)
     stats = BBStats()
@@ -208,7 +216,7 @@ def solve_bb(
         return not leqc(store.project(obs), psi)
 
     while True:
-        res = run_all(cut_program(program, psi), limits, stop=new)
+        res = run_all(cut_program(program, psi), limits, stop=new, _session=session)
         stats.runs_explored += res.total_runs
         stats.runs_pruned += sum(r.pruned for r in res.records)
         found = [r.store for r in res.records if r.kind == "success" and new(r.store)]

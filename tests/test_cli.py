@@ -1,5 +1,7 @@
 """The scc command line: commands, formats, exit codes."""
 
+import errno
+import hashlib
 import json
 import os
 import pathlib
@@ -61,14 +63,15 @@ def test_check_long_arrow_chain(tmp_path, capsys):
     assert (code, out.strip(), err) == (0, "ok", "")
 
 
-def run_subprocess(*args, timeout=None):
+def run_subprocess(*args, timeout=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
         [sys.executable, "-m", "softcc.cli", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
         timeout=timeout,
@@ -360,6 +363,32 @@ def test_bb_network_fixture_finishes():
     assert dk and dk == [ln for ln in observed.stdout.splitlines() if ln.startswith("dk: ")]
 
 
+# exit code and the first 16 hex digits of the SHA-256 of stdout, text then
+# json, of `scc bb` on each fixture, as printed when bb ran a cold observe
+# after solve_bb; e3b0c44298fc1c14 is empty output
+BB_OUTPUT = {
+    "bad_dup_proc": (1, "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    "dominated_choice": (0, "23c8afa654a6fbb2", "f88bc1d62176fd26"),
+    "example5_cpp": (1, "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    "example5_cprime": (1, "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    "fig1": (1, "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
+    "network": (0, "f616e4d13b4bac0b", "6f475822cf227175"),
+    "network_weighted": (0, "240bb04ed7a1985c", "00f604c672e3031f"),
+}
+
+
+def test_bb_output_is_pinned_on_every_fixture(capsys):
+    # observe and bb share one session; what they print stays byte for byte
+    assert sorted(BB_OUTPUT) == sorted(p.stem for p in FIXTURES.glob("*.scc"))
+    for name, (want_code, *want) in BB_OUTPUT.items():
+        got = []
+        for fmt in ("text", "json"):
+            code, out, err = run_main(capsys, "bb", str(FIXTURES / f"{name}.scc"), "--format", fmt)
+            assert code == want_code, (name, fmt, err)
+            got.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+        assert got == want, name
+
+
 def test_bb_rejects_level_thresholds(tmp_path, capsys):
     path = write(tmp_path, "semiring fuzzy;\ndomain {a};\nvar x;\n"
                            "agent = tell(const(0.9)) ->^0.5 stop;\n")
@@ -369,6 +398,32 @@ def test_bb_rejects_level_thresholds(tmp_path, capsys):
 
 
 # -- usage ---------------------------------------------------------------
+
+
+def assert_one_error_line(got, message):
+    assert got.returncode == 1
+    assert got.stderr.splitlines() == [f"scc: error: cannot write the output: {message}"], got.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_full_stdout_is_a_clean_error():
+    with open("/dev/full", "w") as full:
+        got = run_subprocess("observe", str(FIXTURES / "network.scc"), timeout=120, stdout=full)
+    assert_one_error_line(got, os.strerror(errno.ENOSPC))
+    # output that fits in the buffer fails at the flush, not at exit
+    with open("/dev/full", "w") as full:
+        got = run_subprocess("check", str(FIXTURES / "fig1.scc"), timeout=60, stdout=full)
+    assert_one_error_line(got, os.strerror(errno.ENOSPC))
+
+
+def test_closed_pipe_is_a_clean_error():
+    read, write_end = os.pipe()
+    os.close(read)  # nobody will read: every write fails with EPIPE
+    try:
+        got = run_subprocess("observe", str(FIXTURES / "network.scc"), timeout=120, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert_one_error_line(got, os.strerror(errno.EPIPE))
 
 
 def test_usage_errors(capsys):

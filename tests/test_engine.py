@@ -1,6 +1,7 @@
 """Small-step execution: rules, interleaving, termination verdicts."""
 
 import gc
+import importlib
 import pathlib
 import random
 import sys
@@ -12,6 +13,7 @@ from typing import Dict, List, Optional
 import pytest
 from genprog import gen_programs
 from test_constraints import rand_constraint, small_systems
+from test_observe import reference_bb
 
 from softcc import (
     Configuration,
@@ -25,14 +27,18 @@ from softcc import (
     initial_configuration,
     iter_runs,
     leqc,
+    observables_of,
+    observation_vars,
     observe,
     oplus,
+    oplus_all,
     parse_program,
     pointwise_eq,
     pretty_program,
     project,
     run_all,
     run_one,
+    solve_bb,
     step,
     strictly_below,
     tensor_all,
@@ -450,9 +456,8 @@ def test_store_memo_matches_a_fresh_fold():
     assert store.key()[0] == "fs"
 
 
-def test_observe_on_the_network_fixture_reuses_store_transitions(monkeypatch):
-    # every interleaving tells onto the same stores; the memo makes each
-    # distinct (store, constraint) tell once.  The work is counted, not timed.
+def count_tensor_calls(monkeypatch):
+    """Count calls of constraints.tensor under every name softcc binds it to."""
     calls = [0]
     original = constraints.tensor
 
@@ -465,10 +470,45 @@ def test_observe_on_the_network_fixture_reuses_store_transitions(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_observe_on_the_network_fixture_reuses_store_transitions(monkeypatch):
+    # every interleaving tells onto the same stores; the memo makes each
+    # distinct (store, constraint) tell once.  The work is counted, not timed.
+    calls = count_tensor_calls(monkeypatch)
     p = parse_program((ROOT / "fixtures" / "network.scc").read_text())
     got = observe(p)
     assert got.result.expansions == 526
     assert calls[0] <= 400  # 807 when every interleaving recomputed its tells
+
+
+def test_solve_bb_on_the_network_fixture_passes_warm_stores(monkeypatch):
+    # the second pass re-tells onto the stores the first pass reached, kept
+    # alive by the session.  The work is counted, not timed.
+    calls = count_tensor_calls(monkeypatch)
+    p = parse_program((ROOT / "fixtures" / "network.scc").read_text())
+    _, stats = solve_bb(p)
+    assert (stats.iterations, stats.runs_explored) == (1, 1_220_424_505)
+    assert calls[0] <= 1_000  # 1,116 when every pass started from a cold root store
+
+
+def test_solve_bb_frees_its_session_stores(monkeypatch):
+    observe_module = importlib.import_module("softcc.observe")
+    original = observe_module.run_all
+    roots = []
+
+    def recording(*args, _session, **kwargs):
+        roots.append((id(_session.root), weakref.ref(_session.root)))
+        return original(*args, _session=_session, **kwargs)
+
+    monkeypatch.setattr(observe_module, "run_all", recording)
+    _, stats = solve_bb(prog(*BB_CALL_PROGRAMS[0]))
+    assert stats.iterations >= 1
+    assert len(roots) == stats.iterations + 1
+    assert len({root_id for root_id, _ in roots}) == 1  # one root store for every pass
+    gc.collect()
+    assert roots[0][1]() is None
 
 
 def test_store_key_regimes():
@@ -595,6 +635,91 @@ def test_iter_runs_agrees_with_run_all():
             res = run_all(p, limits, stop=lambda store: store == target)
             assert res.total_runs == end
             assert kind_counts(res.records) == kind_counts(listed[:end])
+
+
+# -- the leaf memo against path enumeration -------------------------------
+
+MEMO_EXTRA = (
+    "constraint c(x) { (a) = 0.9; (b) = 0.4; }\n"
+    "constraint d(x) { (a) = 0.5; (b) = 0.7; }\n"
+    "constraint t(x) { (a) = 0.3; (b) = 0.2; }\n"
+)
+# procedures with cut thresholds: each bb pass unfolds p(x) to another body
+BB_CALL_PROGRAMS = [
+    (
+        "( p(x) || tell(d(y)) ->[t] stop )",
+        MEMO_EXTRA + "proc p(x) :: ask(const(1)) -> tell(c(x)) ->[t] p(x)"
+        " + ask(const(1)) -> tell(d(x)) ->[t] stop;\n",
+    ),
+    (
+        "( p(x) || ( p(x) || exists y . p(y) ) )",
+        MEMO_EXTRA + "proc p(x) :: ask(const(1)) -> tell(c(x)) ->[t] stop"
+        " + ask(const(1)) -> tell(d(x)) -> stop;\n",
+    ),
+]
+
+
+def built_program(build):
+    """A program whose main agent ``build`` assembles from the bodies of
+    procedures a, b and w: a choice with a Par or an exists branch has no
+    concrete syntax."""
+    p = prog(
+        "stop",
+        MEMO_EXTRA + "proc a() :: ask(const(1)) -> stop;\n"
+        "proc b(y) :: tell(c(y)) -> stop;\n"
+        "proc w(y) :: ask(c(y)) -> stop;\n",
+    )
+    p.main = build(*(p.decls[n].body for n in ("a", "b", "w")))
+    return p
+
+
+def run_classes(records):
+    """Paths per (kind, final store key, blocked constraints)."""
+    out = {}
+    for r in records:
+        blocked = tuple((c.vars, c.canonical_key()) for c in r.config.blocked) if r.config else ()
+        key = (r.kind, r.store.key() if r.store is not None else None, blocked)
+        out[key] = out.get(key, 0) + r.paths
+    return out
+
+
+def test_leaf_memo_agrees_with_path_enumeration():
+    # each program meets one leaf at one store in components with different
+    # fresh counters (one side runs under exists y), so a leaf memoised
+    # although its moves name a fresh variable shows up as a wrong store or
+    # blocked constraint; fresh-free leaves are reused across the components
+    def twice(s):
+        return Par(s, Exists("y", s))
+
+    programs = [
+        # a choice with an exists branch, nested inside another choice
+        built_program(lambda a, b, w: twice(Sum((a, Sum((a, Exists("y", b))))))),
+        # a choice with a || branch
+        built_program(lambda a, b, w: twice(Sum((a, Par(Exists("y", b), Stop()))))),
+        # a waiting ask under exists inside a choice: it blocks on c(y#k)
+        built_program(lambda a, b, w: twice(Sum((w, Exists("y", w))))),
+        # procedure calls, reused across components and passes
+        *(prog(*args) for args in BB_CALL_PROGRAMS),
+        # ->^v level thresholds that fail, one leaf in two components
+        prog(
+            "( tell(c(x)) ->^0.6 stop || ( tell(d(x)) ->^0.6 stop || tell(d(x)) ->^0.6 stop ) )",
+            MEMO_EXTRA,
+        ),
+    ]
+    for p in programs:
+        for limits in (RunLimits(), RunLimits(max_steps=5)):
+            listed = list(iter_runs(p, limits))
+            res = run_all(p, limits)
+            assert res.total_runs == len(listed)
+            assert run_classes(res.records) == run_classes(listed)
+            obs = observation_vars(p)
+            dk = oplus_all([r.store.project(obs) for r in listed if r.kind == "success"], p.system)
+            assert pointwise_eq(observables_of(p, res).dk_solution, dk)
+    for args in BB_CALL_PROGRAMS:
+        p = prog(*args)
+        psi, stats = solve_bb(p)
+        assert pointwise_eq(psi, observe(p).dk_solution)
+        assert stats == reference_bb(p, RunLimits())[1] and stats.iterations >= 1
 
 
 # -- scheduling policies -------------------------------------------------
