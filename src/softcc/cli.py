@@ -268,10 +268,12 @@ def main(argv=None) -> int:
         if args.policy == "leftmost" and args.seed is not None:
             print("scc: error: --seed only applies to --policy random", file=sys.stderr)
             return 1
+    if sys.stdout is None:  # scc was started with stdout closed
+        print("scc: error: cannot write the output: stdout is closed", file=sys.stderr)
+        return 1
     try:
         code = args.fn(args)
-        if sys.stdout is not None:  # None when scc was started with stdout closed
-            sys.stdout.flush()  # a full stdout or a closed pipe fails here, not at exit
+        sys.stdout.flush()  # a full stdout or a closed pipe fails here, not at exit
         return code
     except _CliError as e:
         print(f"scc: error: {e}", file=sys.stderr)

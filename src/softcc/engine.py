@@ -36,19 +36,18 @@ configuration), rest) ending in () that share their tails, flattened
 once, at the root.
 
 A leaf (tell, ask, stop, choice or call) moves by looking at itself and
-the store alone, and parallel composition lifts that move unchanged.  So
-each ``run_all`` call owns a leaf memo, keyed by store identity and leaf:
-a leaf met again at the same store, in any configuration, costs one
-lookup, and only the component's own fresh counters are put back when
-its moves are lifted.  Only fresh-free leaves are memoised: a choice
-with a Par or exists branch, at any depth of nested choice, names fresh
-variables that depend on the counters.  Each entry pins its store, so the
-memo belongs to the exploration and not to the store; the stores it holds
-are freed when the call, or the session that branch and bound hands it,
-ends.  ``iter_runs`` yields the runs one by one in leftmost order and
-keeps no leaf memo, so it stays an independent oracle.  ``run_one``
-follows a single run under a leftmost or seeded random policy; leftmost
-builds only the moves of the first component that can move.
+the store alone: a choice's branches are asks, so no leaf opens an
+exists.  Parallel composition lifts that move unchanged, with the
+counters of the component that moves.  So each ``run_all`` call owns a
+leaf memo, keyed by store identity and leaf: every leaf met again at the
+same store, in any configuration, costs one lookup.  Each entry pins its
+store, so the memo belongs to the exploration and not to the store; the
+stores it holds are freed when the call, or the session that branch and
+bound hands it, ends.  ``iter_runs`` yields the runs one by one in
+leftmost order and keeps no leaf memo, so it stays an independent
+oracle.  ``run_one`` follows a single run under a leftmost or seeded
+random policy; leftmost builds only the moves of the first component
+that can move.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from .constraints import (
     combine_project,
     entails_witness,
     leqc,
-    strictly_below,
     tensor,
     tensor_all,
 )
@@ -208,8 +206,9 @@ class Store:
         got = self._below.get(ck)
         if got is None:
             # only a store that entails phi can lie below it, and entailment
-            # needs no joint table
-            got = self._below[ck] = self.entails(phi) and strictly_below(self.materialize(), phi)
+            # needs no joint table; then it is strictly below unless phi is
+            # below it too
+            got = self._below[ck] = self.entails(phi) and not leqc(phi, self.materialize())
         return got
 
     def project(self, keep) -> Constraint:
@@ -266,7 +265,6 @@ class _Move:
     kind: str  # running | success | fail
     agent: Optional[Agent]
     store: Store
-    fresh: Optional[Dict[str, int]]  # None: the counters of the component that moves
     pruned: bool = False
 
 
@@ -278,18 +276,10 @@ _RULES = {
 }
 
 
-def _fresh_free(agent: Agent) -> bool:
-    """Whether a leaf's moves cannot depend on the fresh counters: no
-    choice branch, at any depth of nested choice, is a Par or an exists."""
-    return not isinstance(agent, Sum) or all(
-        not isinstance(b, (Par, Exists)) and _fresh_free(b) for b in agent.branches
-    )
-
-
-def _leaf(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
-    """The rule applications of an agent that is neither a Par nor an
-    exists: (moves, hang-candidates).  Its own moves carry no counters;
-    only a choice's Par or exists branches pass theirs on."""
+def _leaf(agent: Agent, store: Store, program: Program):
+    """The rule applications of a leaf, an agent that is neither a Par nor
+    an exists: (moves, hang-candidates).  They read the leaf and the store
+    alone."""
     if isinstance(agent, (Tell, Ask)):
         fires, fails, waits = _RULES[type(agent), type(agent.threshold)]
         c = program.resolve(agent.con)
@@ -300,18 +290,18 @@ def _leaf(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
         else:
             failed = isinstance(t, Cut) and new.below_cut(program.threshold_constraint(t))
         if failed:
-            return [_Move(fails, "fail", None, store, None, isinstance(t, Cut) and t.raised)], []
+            return [_Move(fails, "fail", None, store, isinstance(t, Cut) and t.raised)], []
         if isinstance(agent, Ask) and not store.entails(c):
             return [], [(waits, c)]
-        return [_Move(fires, "running", agent.body, new, None)], []
+        return [_Move(fires, "running", agent.body, new)], []
 
     if isinstance(agent, Stop):
-        return [_Move("stop", "success", None, store, None)], []
+        return [_Move("stop", "success", None, store)], []
 
     if isinstance(agent, Sum):
         proceeds, fails, hangs = [], [], []
-        for b in agent.branches:
-            m, h = (_moves if isinstance(b, (Par, Exists)) else _leaf)(b, store, fresh, program)
+        for b in agent.branches:  # each an ask
+            m, h = _leaf(b, store, program)
             for mv in m:
                 (proceeds if mv.kind == "running" else fails).append(mv)
             hangs.extend(h)
@@ -320,7 +310,7 @@ def _leaf(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
         if not hangs:
             # every branch failed its threshold check
             pruned = any(mv.pruned for mv in fails)
-            return [_Move("choice-fail", "fail", None, store, None, pruned)], []
+            return [_Move("choice-fail", "fail", None, store, pruned)], []
         return [], [("choice-hang", c) for _, c in hangs]
 
     if isinstance(agent, Call):
@@ -330,7 +320,7 @@ def _leaf(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
         if len(agent.args) != len(d.params):
             raise EngineError(f"arity mismatch calling {agent.name!r}")
         body = substitute(d.body, dict(zip(d.params, agent.args)))
-        return [_Move("call", "running", body, store, None)], []
+        return [_Move("call", "running", body, store)], []
 
     raise EngineError(f"not an agent: {agent!r}")
 
@@ -338,7 +328,8 @@ def _leaf(agent: Agent, store: Store, fresh: Dict[str, int], program: Program):
 def _moves(
     agent: Agent, store: Store, fresh: Dict[str, int], program: Program, first=False, leaves=None
 ):
-    """All rule applications of an agent: (moves, hang-candidates).
+    """All rule applications of an agent: (moves, hang-candidates), each
+    move as (leaf move, kind, agent, counters) once lifted.
 
     One walk over the Par and exists nodes with an explicit stack.  Each
     component carries ``up``, a linked list (left?, other side, up) of the
@@ -347,14 +338,14 @@ def _moves(
     a leaf is lifted through its ``up`` once, with the component's counters.
     With ``first``, the walk ends at the first leaf that moves, leftmost; its
     moves come first either way.  ``leaves``, an exploration's leaf memo
-    (see ``run_all``), supplies the result of every fresh-free leaf that
-    already met this store.
+    (see ``run_all``), supplies the result of every leaf that already met
+    this store.
     """
-    at = None
+    at = {}
     if leaves is not None:
         entry = leaves.get(id(store))
         if entry is None:
-            entry = leaves[id(store)] = (store, {})  # the store is pinned, so its id stays its own
+            entry = leaves[id(store)] = (store, at)  # the store is pinned, so its id stays its own
         at = entry[1]
     out, hangs = [], []
     todo = [(agent, None, fresh)]
@@ -373,11 +364,9 @@ def _moves(
                 a = a.body
             todo.append((substitute(a, names), up, fr))
             continue
-        got = at.get(a) if at is not None else None
+        got = at.get(a)
         if got is None:
-            got = _leaf(a, store, fr, program)
-            if at is not None and _fresh_free(a):
-                at[a] = got
+            got = at[a] = _leaf(a, store, program)
         moves, waiting = got
         hangs += waiting
         for mv in moves:
@@ -389,8 +378,7 @@ def _moves(
                     left, other, link = link
                     new = Par(new, other) if left else Par(other, new)
                 kind = "running"
-            counters = fr if mv.fresh is None else mv.fresh
-            out.append(_Move(mv.rule, kind, new, mv.store, counters, mv.pruned))
+            out.append((mv, kind, new, fr))
         if first and out:
             break
     return out, hangs
@@ -411,9 +399,9 @@ def step(cfg: Configuration, program: Program, first=False, *, _leaves=None) -> 
     moves, hangs = _moves(cfg.agent, cfg.store, fresh, program, first, _leaves)
     edges: List[StepEdge] = []
     seen = set()
-    for mv in moves:
-        counters = cfg.fresh if mv.fresh is fresh else tuple(sorted(mv.fresh.items()))
-        target = Configuration(mv.kind, mv.agent, mv.store, counters)
+    for mv, kind, agent, fr in moves:
+        counters = cfg.fresh if fr is fresh else tuple(sorted(fr.items()))
+        target = Configuration(kind, agent, mv.store, counters)
         if target in seen:
             continue
         seen.add(target)

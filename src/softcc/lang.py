@@ -13,12 +13,13 @@ store itself.  Eventual behaves exactly like Level(zero) and like
 Cut(constant zero).
 
 Every syntax node is hash-consed: its class returns the live node with
-the same fields if there is one, so equal nodes are one object, equality
-is identity, and the hash is computed once, from the children's.  The
-parser keeps source positions aside.  Every walker over agents is built
-on ``walk``, a pre-order iterator, or ``rebuild``, a bottom-up map; both
-keep an explicit stack, so depth costs no recursion.  The engine's step
-walk and the parser's agent reader keep stacks of their own.
+the same fields if there is one, so equal nodes are one object, and
+equality and hashing are by identity.  ``Sum`` also checks the grammar:
+a choice has two or more branches, each an Ask.  The parser keeps source
+positions aside.  Every walker over agents is built on ``walk``, a
+pre-order iterator, or ``rebuild``, a bottom-up map; both keep an
+explicit stack, so depth costs no recursion.  The engine's step walk and
+the parser's agent reader keep stacks of their own.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class Node:
     """An immutable syntax node.  Its class is its one constructor, which
     returns the live node with the same class and fields if there is one."""
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
     _fields: Tuple[str, ...] = ()
 
     def __new__(cls, *fields):
@@ -75,12 +76,8 @@ class Node:
             node = object.__new__(cls)
             for name, value in zip(cls._fields, fields):
                 object.__setattr__(node, name, value)
-            object.__setattr__(node, "_hash", hash(key))
             _live[key] = node
         return node
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -97,7 +94,7 @@ def _repr_parts(node: Node) -> list:
         v = getattr(node, name)
         out.append(f"{', ' if i else ''}{name}=")
         if isinstance(v, tuple) and v and isinstance(v[0], Node):  # a choice's branches
-            out += ["(", *[x for b in v for x in (b, ", ")][:-1], ",)" if len(v) == 1 else ")"]
+            out += ["(", *[x for b in v for x in (b, ", ")][:-1], ")"]
         else:
             out.append(v if isinstance(v, Node) else repr(v))
     return out + [")"]
@@ -163,9 +160,16 @@ class Ask(Node):
 
 
 class Sum(Node):
-    """Guarded choice over a tuple of branches; every branch is an Ask."""
+    """Guarded choice over a tuple of two or more branches, each an Ask."""
 
     __slots__ = _fields = ("branches",)
+
+    def __new__(cls, branches):
+        if len(branches) < 2:
+            raise ProgramError("a choice needs two or more branches")
+        if not all(isinstance(b, Ask) for b in branches):
+            raise ProgramError("choice branches must be ask-guarded")
+        return super().__new__(cls, branches)
 
 
 class Par(Node):

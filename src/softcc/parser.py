@@ -404,9 +404,10 @@ class _Parser:
                         self.next()
                         break
                     if len(f[1]) > 1:
-                        if not all(isinstance(b, Ask) for b in f[1]):
-                            raise ParseError("choice branches must be ask-guarded", f[2])
-                        a = Sum(tuple(f[1]))
+                        try:
+                            a = Sum(tuple(f[1]))
+                        except ProgramError as e:  # reported at the first +
+                            raise ParseError(str(e), f[2]) from None
                     if not frames:
                         return a
                 elif f[0] == "||":

@@ -63,7 +63,7 @@ def test_check_long_arrow_chain(tmp_path, capsys):
     assert (code, out.strip(), err) == (0, "ok", "")
 
 
-def run_subprocess(*args, timeout=None, stdout=subprocess.PIPE):
+def run_subprocess(*args, timeout=None, stdout=subprocess.PIPE, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
@@ -75,6 +75,7 @@ def run_subprocess(*args, timeout=None, stdout=subprocess.PIPE):
         text=True,
         env=env,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -424,6 +425,14 @@ def test_closed_pipe_is_a_clean_error():
     finally:
         os.close(write_end)
     assert_one_error_line(got, os.strerror(errno.EPIPE))
+
+
+def test_closed_stdout_is_a_clean_error():
+    # started with fd 1 closed, Python sets sys.stdout to None and print
+    # drops every line, so the output would vanish with exit 0
+    got = run_subprocess("check", str(FIXTURES / "fig1.scc"), timeout=60, preexec_fn=lambda: os.close(1))
+    assert got.stdout == ""
+    assert_one_error_line(got, "stdout is closed")
 
 
 def test_usage_errors(capsys):

@@ -661,8 +661,8 @@ BB_CALL_PROGRAMS = [
 
 def built_program(build):
     """A program whose main agent ``build`` assembles from the bodies of
-    procedures a, b and w: a choice with a Par or an exists branch has no
-    concrete syntax."""
+    procedures a, b and w: an ask whose body is a choice has no concrete
+    syntax."""
     p = prog(
         "stop",
         MEMO_EXTRA + "proc a() :: ask(const(1)) -> stop;\n"
@@ -685,19 +685,23 @@ def run_classes(records):
 
 def test_leaf_memo_agrees_with_path_enumeration():
     # each program meets one leaf at one store in components with different
-    # fresh counters (one side runs under exists y), so a leaf memoised
-    # although its moves name a fresh variable shows up as a wrong store or
-    # blocked constraint; fresh-free leaves are reused across the components
+    # fresh counters (one side runs under exists y), and the leaf's moves
+    # lead into an exists that each component opens on its own counters: a
+    # lifted move given the wrong counters shows up as a wrong store or
+    # blocked constraint; the leaf's moves are reused across the components
     def twice(s):
         return Par(s, Exists("y", s))
 
+    def guard(a, body):
+        return Ask(a.con, a.threshold, body)
+
     programs = [
-        # a choice with an exists branch, nested inside another choice
-        built_program(lambda a, b, w: twice(Sum((a, Sum((a, Exists("y", b))))))),
-        # a choice with a || branch
-        built_program(lambda a, b, w: twice(Sum((a, Par(Exists("y", b), Stop()))))),
-        # a waiting ask under exists inside a choice: it blocks on c(y#k)
-        built_program(lambda a, b, w: twice(Sum((w, Exists("y", w))))),
+        # an ask body that opens exists, under a choice nested in an ask body
+        built_program(lambda a, b, w: twice(Sum((a, guard(a, Sum((a, guard(a, Exists("y", b))))))))),
+        # an ask body that opens ||
+        built_program(lambda a, b, w: twice(Sum((a, guard(a, Par(Exists("y", b), Stop())))))),
+        # a waiting ask under exists under an ask: it blocks on c(y#k)
+        built_program(lambda a, b, w: twice(Sum((w, guard(a, Exists("y", w)))))),
         # procedure calls, reused across components and passes
         *(prog(*args) for args in BB_CALL_PROGRAMS),
         # ->^v level thresholds that fail, one leaf in two components

@@ -250,6 +250,35 @@ def test_error_choice_guards():
     )
 
 
+def test_sum_takes_two_or_more_ask_guarded_branches():
+    extra = "constraint c(x) { default = 0.5; }\n"
+    ask = parse_agent("ask(c(x)) -> stop", extra)
+    assert Sum((ask, ask)).branches == (ask, ask)
+    unguarded = (
+        parse_agent("tell(c(x)) -> stop", extra),
+        Par(ask, ask),
+        Exists("y", ask),
+        Sum((ask, ask)),
+        Stop(),
+    )
+    for b in unguarded:
+        for branches in ((ask, b), (b, ask)):
+            with pytest.raises(ProgramError, match="choice branches must be ask-guarded"):
+                Sum(branches)
+    for few in ((), (ask,)):
+        with pytest.raises(ProgramError, match="two or more branches"):
+            Sum(few)
+    # deep library-built nests of unguarded choice fail at construction,
+    # at the first level that is not ask-guarded, not in a RecursionError
+    for wrap in (lambda a: Exists("y", a), lambda a: a):
+        a, levels = ask, 0
+        with pytest.raises(ProgramError, match="ask-guarded"):
+            for _ in range(3000):
+                a = Sum((ask, wrap(a)))
+                levels += 1
+        assert levels <= 1
+
+
 def test_error_reserved_hash():
     # '#' cannot even be tokenized, so machine-made names stay unwritable
     with pytest.raises(ProgramError):
@@ -376,6 +405,20 @@ def test_pretty_round_trip_inline():
         a = parse_agent(t, extra)
         again = parse_agent(pretty(a), extra)
         assert again == a, pretty(a)
+    # choices built through the library whose ask bodies open || or exists
+    ask = parse_agent("ask(c(x, y)) -> stop", extra)
+    local = parse_agent("exists q . tell(c(q, x)) -> p(q)", extra)
+
+    def guard(body):
+        return Ask(ask.con, Level(0.5), body)
+
+    for a in (
+        Sum((guard(Par(local, Stop())), ask)),
+        Sum((ask, guard(local))),
+        Sum((guard(Par(Stop(), Exists("q", guard(local)))), ask, guard(Exists("z", Par(local, ask))))),
+    ):
+        again = parse_agent(pretty(a), extra)
+        assert again is a, pretty(a)
 
 
 def test_pretty_program_round_trip_fixtures():
