@@ -10,6 +10,13 @@ gets one shared successor, with its key and entailment answers computed
 once.  That is exact, as a fold reads nothing but the store and the
 constraint, and weak, so a store lives only while a run holds it.
 
+x is commutative and associative, so schedules that tell the same
+constraints in other orders reach pointwise-equal stores.  Within one
+``run_all`` call or branch-and-bound session, such stores share their
+"pw" key and entailment and cut answers; factors, projections and a wide
+store's "fs" key follow the order of folding and stay each store's own.
+Stores built any other way share nothing.
+
 A configuration is an agent plus a store (plus the fresh-name counters a
 run has used).  ``step`` returns every rule application at once:
 
@@ -97,6 +104,38 @@ class EngineError(RuntimeError):
 _POINTWISE_CELLS = 4096
 
 
+class _Answers:
+    """What a store's pointwise value alone decides: its "pw" key and its
+    entailment and cut answers.
+
+    ``told`` is the multiset of keys told since an empty root: the set of
+    them, and those told more than once with their counts (none when x is
+    idempotent, as a repeat then leaves the store as it is).  Stores grown
+    from one exploration's root share the record of their multiset through
+    ``table``, which holds records weakly; any other store has a record of
+    its own, with no table.
+    """
+
+    __slots__ = ("table", "told", "pw", "entails", "below", "__weakref__")
+
+    def __init__(self, table=None, told=None):
+        self.table, self.told, self.pw = table, told, None
+        self.entails, self.below = {}, {}
+        if table is not None:
+            table[told] = self
+
+    def after(self, ck, told) -> "_Answers":
+        """The shared record of a store told ck on top of this one's, with
+        ``told`` its set of told keys."""
+        once, more = self.told
+        if ck in once:
+            counts = dict(more)
+            counts[ck] = counts.get(ck, 1) + 1
+            more = frozenset(counts.items())
+        got = self.table.get((told, more))
+        return _Answers(self.table, (told, more)) if got is None else got
+
+
 class Store:
     """An immutable factored store: the combination of everything told.
 
@@ -105,21 +144,25 @@ class Store:
 
     Each store memoises its tells (see ``tell``), so a repeated tell returns
     one successor whose key, hash, level, entailment and cut answers are
-    warm.  What a leaf agent does at the store is memoised by ``run_all``,
-    not here, so that no store keeps the stores its runs reached alive.
+    warm.  Stores of one exploration told alike share their pointwise
+    answers (see ``_Answers``).  What a leaf agent does at the store is
+    memoised by ``run_all``, not here, so that no store keeps the stores its
+    runs reached alive.
     """
 
     __slots__ = (
-        "system", "factors", "told", "_key", "_hash", "_proj", "_entails", "_below", "_tells",
-        "__weakref__",
+        "system", "factors", "told", "_key", "_hash", "_proj", "_ans", "_tells", "__weakref__",
     )
 
-    def __init__(self, system, factors: Tuple[Constraint, ...] = (), told=None):
+    def __init__(
+        self, system, factors: Tuple[Constraint, ...] = (), told=None, *, _answers=None
+    ):
         self.system = system
         self.factors = factors
         self.told = frozenset(f.canonical_key() for f in factors) if told is None else told
         self._key = self._hash = None
-        self._proj, self._entails, self._below, self._tells = {}, {}, {}, {}
+        self._proj, self._tells = {}, {}
+        self._ans = _Answers() if _answers is None else _answers
 
     def tell(self, c: Constraint) -> "Store":
         """The store after combining c in.
@@ -149,15 +192,19 @@ class Store:
         return new
 
     def _fold(self, c: Constraint, ck) -> "Store":
+        system = self.system
         told = self.told if ck in self.told else self.told | {ck}
+        ans = self._ans
+        answers = None if ans.table is None else ans.after(ck, told)
         cv = set(c.vars)
         for i, f in enumerate(self.factors):
             if cv.issubset(f.vars):
                 folded = self.factors[:i] + (tensor(f, c),) + self.factors[i + 1 :]
-                return Store(self.system, folded, told)
+                return Store(system, folded, told, _answers=answers)
         inside = [f for f in self.factors if cv.issuperset(f.vars)]
         rest = tuple(f for f in self.factors if not cv.issuperset(f.vars))
-        return Store(self.system, rest + (tensor_all(inside + [c], self.system),), told)
+        folded = rest + (tensor_all(inside + [c], system),)
+        return Store(system, folded, told, _answers=answers)
 
     def vars(self) -> tuple:
         return tuple(dict.fromkeys(v for f in self.factors for v in f.vars))
@@ -166,7 +213,10 @@ class Store:
         if self._key is None:
             nvars = len(self.vars())
             if self.system.cells(nvars) <= _POINTWISE_CELLS:
-                self._key = ("pw", self.materialize().canonical_key())
+                ans = self._ans
+                if ans.pw is None:
+                    ans.pw = ("pw", self.materialize().canonical_key())
+                self._key = ans.pw
             else:
                 keys = (f.canonical_key() for f in self.factors)
                 self._key = ("fs", tuple(sorted(keys, key=repr)))
@@ -191,9 +241,10 @@ class Store:
         ck = c.canonical_key()
         if ck in self.told:
             return True  # x is intensive: the store lies below all it was told
-        got = self._entails.get(ck)
+        entails = self._ans.entails
+        got = entails.get(ck)
         if got is None:
-            got = self._entails[ck] = leqc(self.project(c.vars), c)
+            got = entails[ck] = leqc(self.project(c.vars), c)
         return got
 
     def witness(self, c: Constraint) -> Optional[dict]:
@@ -203,12 +254,13 @@ class Store:
 
     def below_cut(self, phi: Constraint) -> bool:
         ck = phi.canonical_key()
-        got = self._below.get(ck)
+        below = self._ans.below
+        got = below.get(ck)
         if got is None:
             # only a store that entails phi can lie below it, and entailment
             # needs no joint table; then it is strictly below unless phi is
             # below it too
-            got = self._below[ck] = self.entails(phi) and not leqc(phi, self.materialize())
+            got = below[ck] = self.entails(phi) and not leqc(phi, self.materialize())
         return got
 
     def project(self, keep) -> Constraint:
@@ -483,20 +535,26 @@ def _fold(f: _Frame, rule: str, cfg: Configuration, rows, height) -> None:
         _merge(f.agg, kind, config, ((rule, cfg), trace), paths, pruned)
 
 
-def initial_configuration(program: Program) -> Configuration:
+def _main(program: Program) -> Agent:
     if program.main is None:
         raise EngineError("program has no agent to run")
-    return Configuration("running", program.main, Store(program.system), ())
+    return program.main
+
+
+def initial_configuration(program: Program) -> Configuration:
+    return Configuration("running", _main(program), Store(program.system), ())
 
 
 class _Session:
     """One root store for several explorations of one system, and their
     leaf memos.  Holding the memos keeps every store they reached alive, so
     a later exploration meets warm successors in ``Store.tell``'s weak memo;
-    all of it is freed with the session."""
+    all of it is freed with the session.  The stores grown from the root
+    share their pointwise answers (see ``_Answers``)."""
 
     def __init__(self, system):
-        self.root = Store(system)
+        table = weakref.WeakValueDictionary()
+        self.root = Store(system, _answers=_Answers(table, (frozenset(), frozenset())))
         self.leaves: List[Dict] = []
 
 
@@ -518,13 +576,14 @@ def run_all(
 
     The call owns its leaf memo (see the module docstring), which goes
     with it unless ``_session``, a private ``_Session``, holds the memo
-    and supplies the root store.
+    and supplies the root store; without one, the call runs in a session
+    of its own.
     """
-    init = initial_configuration(program)
+    main = _main(program)
+    session = _Session(program.system) if _session is None else _session
     leaves: Dict[int, tuple] = {}  # id(store) -> (store, {leaf: (moves, waiting)})
-    if _session is not None:
-        init = Configuration("running", program.main, _session.root)
-        _session.leaves.append(leaves)
+    session.leaves.append(leaves)
+    init = Configuration("running", main, session.root)
     memo: Dict[Configuration, Tuple[list, int]] = {}  # cfg -> (rows, height)
     onpath = {init}
     root = _Frame(None, init, 0, step(init, program, _leaves=leaves))

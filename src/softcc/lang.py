@@ -363,9 +363,16 @@ def _pp_parts(a: Agent) -> tuple:
     if isinstance(a, Stop):
         return ("stop",)
     if isinstance(a, (Tell, Ask)):
+        if isinstance(a.body, Sum):
+            raise ProgramError("cannot print a choice as an arrow body: the text cannot group it")
         word = type(a).__name__.lower()
         return (f"{word}({_pp_cexpr(a.con)}) {_pp_arrow(a.threshold)} ", a.body)
     if isinstance(a, Sum):
+        for b in a.branches[:-1]:
+            while isinstance(b, (Tell, Ask)):
+                b = b.body
+            if isinstance(b, Exists):  # it would extend over the branches after it
+                raise ProgramError("cannot print a choice branch ending in exists before another")
         return tuple(x for b in a.branches for x in (" + ", b))[1:]
     if isinstance(a, Par):
         return ("(", a.left, " || ", a.right, ")")
@@ -375,7 +382,11 @@ def _pp_parts(a: Agent) -> tuple:
 
 
 def pretty(agent: Agent) -> str:
-    """Deterministic one-line rendering that the parser reads back."""
+    """Deterministic one-line rendering that the parser reads back.
+
+    The text has no grouping for a choice, so an agent that needs one (a
+    choice as an arrow body, or a choice branch other than the last whose
+    arrow chain ends in an exists) raises ProgramError."""
     return "".join(x for x in walk(agent, _pp_parts) if isinstance(x, str))
 
 

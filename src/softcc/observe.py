@@ -216,7 +216,9 @@ def solve_bb(
         return not leqc(store.project(obs), psi)
 
     while True:
-        res = run_all(cut_program(program, psi), limits, stop=new, _session=session)
+        # at the zero bound the cut raises nothing, so the first pass runs program
+        cut = cut_program(program, psi) if stats.iterations else program
+        res = run_all(cut, limits, stop=new, _session=session)
         stats.runs_explored += res.total_runs
         stats.runs_pruned += sum(r.pruned for r in res.records)
         found = [r.store for r in res.records if r.kind == "success" and new(r.store)]

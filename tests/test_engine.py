@@ -2,6 +2,7 @@
 
 import gc
 import importlib
+import itertools
 import pathlib
 import random
 import sys
@@ -44,6 +45,7 @@ from softcc import (
     tensor_all,
 )
 from softcc import constraints
+from softcc.engine import _Session
 from softcc.lang import (
     Agent,
     Ask,
@@ -511,6 +513,30 @@ def test_solve_bb_frees_its_session_stores(monkeypatch):
     assert roots[0][1]() is None
 
 
+def test_solve_bb_cuts_only_at_a_raised_bound(monkeypatch):
+    # at the zero bound the cut raises nothing, so the first pass runs the
+    # program itself and every later pass runs one cut
+    observe_module = importlib.import_module("softcc.observe")
+    original, programs = observe_module.run_all, []
+
+    def recording(program, *args, **kwargs):
+        programs.append(program)
+        return original(program, *args, **kwargs)
+
+    monkeypatch.setattr(observe_module, "run_all", recording)
+    p = prog(*BB_CALL_PROGRAMS[0])
+    _, stats = solve_bb(p)
+    assert stats.iterations >= 1 and len(programs) == stats.iterations + 1
+    assert programs[0] is p and all(q is not p for q in programs[1:])
+
+
+def test_run_all_without_an_agent_is_an_error():
+    p = parse_program(H)
+    for session in (None, _Session(p.system)):
+        with pytest.raises(EngineError, match="no agent to run"):
+            run_all(p, _session=session)
+
+
 def test_store_key_regimes():
     sysf = ConstraintSystem(FUZZY, ("a", "b"))
     small = Store(sysf).tell(
@@ -572,6 +598,88 @@ def test_store_below_cut_matches_the_joint_table():
                 assert store.entails(phi) == leqc(joint, phi)
                 verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def test_stores_told_alike_share_pointwise_answers():
+    # tell sequences in permuted orders, from one exploration's root, give
+    # every store the key, entailment and cut answers of the same fold from
+    # an unshared root and of the dense joint table; stores told the same
+    # multiset share one record, and repeats count where x is not idempotent
+    rng = random.Random("shared-answers")
+    for system in small_systems():
+        root, idempotent = _Session(system).root, system.semiring.idempotent_times
+        for _ in range(6):
+            told = [rand_constraint(system, rng) for _ in range(rng.randrange(1, 5))]
+            told += rng.sample(told, rng.randrange(0, 2))  # a repeat, now and then
+            probes = [rand_constraint(system, rng) for _ in range(3)]
+            finals = []
+            for _ in range(3):
+                order = rng.sample(told, len(told))
+                shared, alone = root, Store(system)
+                for i, c in enumerate(order, 1):
+                    shared, alone = shared.tell(c), alone.tell(c)
+                    joint = tensor_all(order[:i], system)
+                    assert shared.key() == alone.key() == ("pw", joint.canonical_key())
+                    for phi in probes + [project(joint, ("x",)), joint]:
+                        assert shared.entails(phi) == alone.entails(phi) == leqc(joint, phi)
+                        want = strictly_below(joint, phi)
+                        assert shared.below_cut(phi) == alone.below_cut(phi) == want
+                finals.append(shared)
+                assert alone._ans.table is None
+            assert len({id(f._ans) for f in finals}) == 1  # one record for every order
+        if not idempotent:
+            c = rand_constraint(system, rng)
+            once, twice = root.tell(c), root.tell(c).tell(c)
+            assert once._ans is not twice._ans
+            d = rand_constraint(system, rng)
+            assert once.tell(d).tell(c)._ans is twice.tell(d)._ans
+            assert root.tell(d).tell(c)._ans is not twice.tell(d)._ans
+
+
+def test_wide_stores_told_alike_keep_their_own_factor_keys():
+    # past the pointwise cap the key follows the factors, so two folding
+    # orders of one multiset key apart, although they share their record
+    sysf = ConstraintSystem(FUZZY, ("a", "b"))
+
+    def con(*vs):
+        rows = itertools.product("ab", repeat=len(vs))
+        return Constraint(sysf, vs, {k: 0.5 + 0.1 * i for i, k in enumerate(rows)})
+
+    a, b, c = con("x", "y"), con("y", "z"), con("y")
+    wide = [con(f"v{i}") for i in range(12)]
+    root = _Session(sysf).root
+    stores = []
+    for order in ([a, b, c], [b, c, a]):
+        store = root
+        for t in wide + order:
+            store = store.tell(t)
+        stores.append(store)
+    s1, s2 = stores
+    assert s1._ans is s2._ans and pointwise_eq(s1.materialize(), s2.materialize())
+    assert {frozenset(f.vars) for f in s1.factors} == {frozenset(f.vars) for f in s2.factors}
+    assert s1.key()[0] == s2.key()[0] == "fs" and s1.key() != s2.key()
+    for s in stores:
+        assert s.key() == ("fs", tuple(sorted((f.canonical_key() for f in s.factors), key=repr)))
+
+
+def test_only_explorations_share_answers():
+    p = prog("(tell(c(x)) -> stop || tell(c(y)) -> stop)", DEEP_EXTRA)
+    for rec in list(iter_runs(p)) + [run_one(p)]:
+        assert all(cfg.store._ans.table is None for _, cfg in rec.trace)
+    assert initial_configuration(p).store._ans.table is None
+    for rec in run_all(p).records:
+        assert all(cfg.store._ans.table is not None for _, cfg in rec.trace)
+
+
+def test_run_all_frees_its_stores_and_records():
+    p = prog("(tell(c(x)) -> stop || tell(c(y)) -> stop)", DEEP_EXTRA)
+    result = run_all(p)
+    store = result.records[0].store
+    refs = [weakref.ref(x) for x in (store, store._ans, store._ans.table)]
+    assert store._ans.table[store._ans.told] is store._ans
+    del result, store
+    gc.collect()
+    assert [r() for r in refs] == [None, None, None]
 
 
 def test_store_monotone_along_every_trace():

@@ -27,6 +27,7 @@ from softcc import (
     pretty_program,
     substitute,
 )
+from softcc.lang import walk
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -419,6 +420,80 @@ def test_pretty_round_trip_inline():
     ):
         again = parse_agent(pretty(a), extra)
         assert again is a, pretty(a)
+
+
+def test_pretty_rejects_what_the_text_cannot_group():
+    extra = "constraint c(x, y) { default = 0.5; }\n"
+    ask = parse_agent("ask(c(x, y)) -> stop", extra)
+    local = Exists("q", Stop())
+    for a in (
+        Ask(ask.con, Eventual(), Sum((ask, ask))),  # would read as a choice of two
+        Tell(ask.con, Eventual(), Sum((ask, ask))),  # would not parse
+        Sum((Ask(ask.con, Eventual(), local), ask)),  # would read as exists q . (stop + …)
+        Sum((ask, Ask(ask.con, Eventual(), Tell(ask.con, Eventual(), local)), ask)),
+    ):
+        with pytest.raises(ProgramError, match="cannot print"):
+            pretty(a)
+    # the last branch may end in exists, and a choice may be an exists body
+    for a in (
+        Sum((ask, Ask(ask.con, Eventual(), local))),
+        Tell(ask.con, Eventual(), Exists("q", Sum((ask, ask)))),
+    ):
+        assert parse_agent(pretty(a), extra) is a
+
+
+def _ungroupable(a) -> bool:
+    """The two shapes pretty must reject, read off the definition."""
+    for n in walk(a):
+        if isinstance(n, (Tell, Ask)) and isinstance(n.body, Sum):
+            return True
+        if isinstance(n, Sum):
+            for end in n.branches[:-1]:  # the end of each arrow chain but the last
+                while isinstance(end, (Tell, Ask)):
+                    end = end.body
+                if isinstance(end, Exists):
+                    return True
+    return False
+
+
+def test_pretty_round_trips_library_built_agents():
+    # random agents built with the node classes, in every shape: each either
+    # prints as text that parses back to the same node, or is one of the two
+    # shapes the text cannot group and raises
+    extra = "constraint c(x, y) { default = 0.5; }\nproc p(u) :: stop;\n"
+    cut = parse_agent("tell(c(x, y)) ->[c] stop", extra).threshold
+    rng = random.Random("pretty-round-trip")
+    thresholds = (Eventual(), Level(0.5), cut)
+    cons = (Ref("c", ("x", "y")), Ref("c", ("z", "x")), DiagRef("y", "z"), ConstRef(1.0))
+
+    def agent(depth):
+        pick = rng.randrange(7 if depth else 2)
+        if pick == 0:
+            return Stop()
+        if pick == 1:
+            return Call("p", (rng.choice("xyz"),))
+        if pick == 2:
+            return Exists(rng.choice("qx"), agent(depth - 1))
+        if pick == 3:
+            return Par(agent(depth - 1), agent(depth - 1))
+        if pick == 4:
+            return Sum(tuple(guarded(depth - 1, Ask) for _ in range(rng.randrange(2, 4))))
+        return guarded(depth - 1, Tell if pick == 5 else Ask)
+
+    def guarded(depth, node):
+        return node(rng.choice(cons), rng.choice(thresholds), agent(depth))
+
+    printed = rejected = 0
+    for _ in range(400):
+        a = agent(rng.randrange(1, 6))
+        if _ungroupable(a):
+            with pytest.raises(ProgramError, match="cannot print"):
+                pretty(a)
+            rejected += 1
+        else:
+            assert parse_agent(pretty(a), extra) is a, pretty(a)
+            printed += 1
+    assert printed > 100 and rejected > 20
 
 
 def test_pretty_program_round_trip_fixtures():
