@@ -42,19 +42,21 @@ d + height stays below the step bound.  Its traces are chains ((rule,
 configuration), rest) ending in () that share their tails, flattened
 once, at the root.
 
-A leaf (tell, ask, stop, choice or call) moves by looking at itself and
-the store alone: a choice's branches are asks, so no leaf opens an
-exists.  Parallel composition lifts that move unchanged, with the
-counters of the component that moves.  So each ``run_all`` call owns a
-leaf memo, keyed by store identity and leaf: every leaf met again at the
-same store, in any configuration, costs one lookup.  Each entry pins its
-store, so the memo belongs to the exploration and not to the store; the
-stores it holds are freed when the call, or the session that branch and
-bound hands it, ends.  ``iter_runs`` yields the runs one by one in
-leftmost order and keeps no leaf memo, so it stays an independent
-oracle.  ``run_one`` follows a single run under a leftmost or seeded
-random policy; leftmost builds only the moves of the first component
-that can move.
+``step`` is the engine's one step walk: one loop over the agent's Par
+and exists nodes that lifts each leaf's moves into edges.  A leaf (tell,
+ask, stop, choice or call) moves by looking at itself and the store
+alone: a choice's branches are asks, so no leaf opens an exists, and
+parallel composition lifts the move unchanged, with the counters of the
+component that moves.  So each ``run_all`` call owns a leaf memo, keyed
+by store identity and leaf: every leaf met again at the same store, in
+any configuration, costs one lookup.  Each entry pins its store, so the
+memo belongs to the exploration and not to the store; the stores it
+holds are freed when the call, or the session that branch and bound
+hands it, ends.  ``iter_runs`` yields the runs one by one in leftmost
+order and keeps no leaf memo, so it stays an independent oracle.
+``run_one`` follows a single run under a leftmost or seeded random
+policy; leftmost builds only the moves of the first component that can
+move.
 """
 
 from __future__ import annotations
@@ -311,15 +313,6 @@ class StepEdge:
     pruned: bool = False  # the edge is a fail at a threshold the cut raised
 
 
-@dataclass
-class _Move:
-    rule: str
-    kind: str  # running | success | fail
-    agent: Optional[Agent]
-    store: Store
-    pruned: bool = False
-
-
 # the rules of a tell or an ask under each kind of threshold: (fires, fails, waits)
 _RULES = {
     (node, t): tuple(f"{prefix}{node.__name__.lower()}{end}" for end in ("", "-fail", "-hang"))
@@ -330,8 +323,8 @@ _RULES = {
 
 def _leaf(agent: Agent, store: Store, program: Program):
     """The rule applications of a leaf, an agent that is neither a Par nor
-    an exists: (moves, hang-candidates).  They read the leaf and the store
-    alone."""
+    an exists: (moves, hang-candidates), each move a tuple (rule, kind,
+    agent, store, pruned).  They read the leaf and the store alone."""
     if isinstance(agent, (Tell, Ask)):
         fires, fails, waits = _RULES[type(agent), type(agent.threshold)]
         c = program.resolve(agent.con)
@@ -342,27 +335,29 @@ def _leaf(agent: Agent, store: Store, program: Program):
         else:
             failed = isinstance(t, Cut) and new.below_cut(program.threshold_constraint(t))
         if failed:
-            return [_Move(fails, "fail", None, store, isinstance(t, Cut) and t.raised)], []
+            return [(fails, "fail", None, store, isinstance(t, Cut) and t.raised)], []
         if isinstance(agent, Ask) and not store.entails(c):
             return [], [(waits, c)]
-        return [_Move(fires, "running", agent.body, new)], []
+        return [(fires, "running", agent.body, new, False)], []
 
     if isinstance(agent, Stop):
-        return [_Move("stop", "success", None, store)], []
+        return [("stop", "success", None, store, False)], []
 
     if isinstance(agent, Sum):
-        proceeds, fails, hangs = [], [], []
+        proceeds, pruned, hangs = [], False, []
         for b in agent.branches:  # each an ask
             m, h = _leaf(b, store, program)
             for mv in m:
-                (proceeds if mv.kind == "running" else fails).append(mv)
+                _, kind, _, _, cut = mv
+                if kind == "running":
+                    proceeds.append(mv)
+                pruned = pruned or cut  # only a fail is pruned
             hangs.extend(h)
         if proceeds:
             return proceeds, []
         if not hangs:
             # every branch failed its threshold check
-            pruned = any(mv.pruned for mv in fails)
-            return [_Move("choice-fail", "fail", None, store, pruned)], []
+            return [("choice-fail", "fail", None, store, pruned)], []
         return [], [("choice-hang", c) for _, c in hangs]
 
     if isinstance(agent, Call):
@@ -372,57 +367,61 @@ def _leaf(agent: Agent, store: Store, program: Program):
         if len(agent.args) != len(d.params):
             raise EngineError(f"arity mismatch calling {agent.name!r}")
         body = substitute(d.body, dict(zip(d.params, agent.args)))
-        return [_Move("call", "running", body, store)], []
+        return [("call", "running", body, store, False)], []
 
     raise EngineError(f"not an agent: {agent!r}")
 
 
-def _moves(
-    agent: Agent, store: Store, fresh: Dict[str, int], program: Program, first=False, leaves=None
-):
-    """All rule applications of an agent: (moves, hang-candidates), each
-    move as (leaf move, kind, agent, counters) once lifted.
+def step(cfg: Configuration, program: Program, first=False, *, _leaves=None) -> List[StepEdge]:
+    """Every rule application from a configuration, deduplicated.
 
     One walk over the Par and exists nodes with an explicit stack.  Each
     component carries ``up``, a linked list (left?, other side, up) of the
-    Par nodes above it; a run of directly nested binders opens with one
-    substitution, on fresh counters of the component's own; and each move of
-    a leaf is lifted through its ``up`` once, with the component's counters.
-    With ``first``, the walk ends at the first leaf that moves, leftmost; its
-    moves come first either way.  ``leaves``, an exploration's leaf memo
-    (see ``run_all``), supplies the result of every leaf that already met
-    this store.
+    Par nodes above it, and its fresh counters as a sorted tuple; a run of
+    directly nested binders opens with one substitution, on counters of the
+    component's own.  Each move of a leaf is lifted through its ``up``
+    once and becomes an edge unless an earlier edge has the same target.
+
+    Terminal configurations have no successors.  A running configuration
+    where nothing can move and at least one ask is waiting steps to Hang.
+    With ``first``, the walk ends at the leftmost leaf that moves; the first
+    edge is the same.  ``_leaves`` is ``run_all``'s leaf memo, which
+    supplies the result of every leaf that already met this store; the
+    edges are the same with or without it.
     """
+    if cfg.kind != "running":
+        return []
+    store = cfg.store
     at = {}
-    if leaves is not None:
-        entry = leaves.get(id(store))
+    if _leaves is not None:
+        entry = _leaves.get(id(store))
         if entry is None:
-            entry = leaves[id(store)] = (store, at)  # the store is pinned, so its id stays its own
+            entry = _leaves[id(store)] = (store, at)  # the store is pinned, so its id stays its own
         at = entry[1]
-    out, hangs = [], []
-    todo = [(agent, None, fresh)]
+    edges: List[StepEdge] = []
+    seen, hangs = set(), []
+    todo = [(cfg.agent, None, cfg.fresh)]
     while todo:
-        a, up, fr = todo.pop()
+        a, up, fresh = todo.pop()
         if isinstance(a, Par):
-            todo.append((a.right, (False, a.left, up), fr))
-            todo.append((a.left, (True, a.right, up), fr))
+            todo.append((a.right, (False, a.left, up), fresh))
+            todo.append((a.left, (True, a.right, up), fresh))
             continue
         if isinstance(a, Exists):
-            fr, names = dict(fr), {}
+            fr, names = dict(fresh), {}
             while isinstance(a, Exists):
                 k = fr.get(a.var, 0)
                 fr[a.var] = k + 1
                 names[a.var] = f"{a.var}#{k}"  # an inner binder shadows an outer one
                 a = a.body
-            todo.append((substitute(a, names), up, fr))
+            todo.append((substitute(a, names), up, tuple(sorted(fr.items()))))
             continue
         got = at.get(a)
         if got is None:
             got = at[a] = _leaf(a, store, program)
         moves, waiting = got
         hangs += waiting
-        for mv in moves:
-            kind, new = mv.kind, mv.agent
+        for rule, kind, new, after, pruned in moves:
             if up is not None and kind != "fail":
                 # a side that succeeds continues as the other side
                 new, link = up[1:] if kind == "success" else (new, up)
@@ -430,39 +429,16 @@ def _moves(
                     left, other, link = link
                     new = Par(new, other) if left else Par(other, new)
                 kind = "running"
-            out.append((mv, kind, new, fr))
-        if first and out:
+            target = Configuration(kind, new, after, fresh)
+            if target not in seen:
+                seen.add(target)
+                edges.append(StepEdge(rule, target, pruned))
+        if first and edges:
             break
-    return out, hangs
-
-
-def step(cfg: Configuration, program: Program, first=False, *, _leaves=None) -> List[StepEdge]:
-    """Every rule application from a configuration, deduplicated.
-
-    Terminal configurations have no successors.  A running configuration
-    where nothing can move and at least one ask is waiting steps to Hang.
-    With ``first``, only the moves of the leftmost leaf that moves are
-    built; the first edge is the same.  ``_leaves`` is ``run_all``'s leaf
-    memo; the edges are the same with or without it.
-    """
-    if cfg.kind != "running":
-        return []
-    fresh = dict(cfg.fresh)
-    moves, hangs = _moves(cfg.agent, cfg.store, fresh, program, first, _leaves)
-    edges: List[StepEdge] = []
-    seen = set()
-    for mv, kind, agent, fr in moves:
-        counters = cfg.fresh if fr is fresh else tuple(sorted(fr.items()))
-        target = Configuration(kind, agent, mv.store, counters)
-        if target in seen:
-            continue
-        seen.add(target)
-        edges.append(StepEdge(mv.rule, target, mv.pruned))
     if not edges:
-        if not hangs:
-            raise EngineError("running configuration with no rule and no waiting ask")
+        # some ask is waiting: _leaf gives every leaf a move or a waiting ask
         rule = hangs[0][0] if len(hangs) == 1 else "quiescence"
-        target = Configuration("hang", cfg.agent, cfg.store, cfg.fresh, tuple(c for _, c in hangs))
+        target = Configuration("hang", cfg.agent, store, cfg.fresh, tuple(c for _, c in hangs))
         edges.append(StepEdge(rule, target))
     return edges
 

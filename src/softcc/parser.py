@@ -474,12 +474,13 @@ def _validate(p: Program, where: Dict[object, Tuple[int, int]]) -> Program:
     for name in set(p.templates) & set(p.decls):
         raise ProgramError(f"{name!r} names both a constraint and a proc")
 
-    # building the base constraint checks arities, atoms, values, density
+    # building the base constraint checks arities, atoms, values, density;
+    # resolve reuses the checked table
     for tpl in p.templates.values():
         if len(set(tpl.params)) != len(tpl.params):
             raise ProgramError(f"constraint {tpl.name!r} repeats a parameter", tpl.pos)
         try:
-            tpl.base_constraint(p.system)
+            p._bases[tpl.name] = tpl.base_constraint(p.system)
         except ValueError as e:
             raise ProgramError(f"constraint {tpl.name!r}: {e}", tpl.pos) from None
 

@@ -262,6 +262,15 @@ def test_run_step_limit_flag(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["observe", "bb"])
+def test_observe_step_limit_flag(tmp_path, capsys, command):
+    path = write(tmp_path, "semiring fuzzy;\ndomain {a};\nvar x;\n"
+                           "agent = tell(const(0.9)) -> tell(const(0.8)) -> stop;\n")
+    code, out, err = run_main(capsys, command, path, "--max-steps", "2")
+    assert code == 4
+    assert "bound_exceeded=true" in out
+
+
 def test_step_limit_env(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "semiring fuzzy;\ndomain {a};\nvar x;\n"
                            "agent = tell(const(0.9)) -> tell(const(0.8)) -> stop;\n")

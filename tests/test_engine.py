@@ -347,9 +347,12 @@ def test_fresh_bound():
         "constraint c(x) { (a) = 0.9; (b) = 0.4; }\n"
         "proc loop() :: exists q . tell(c(q)) -> loop();\n"
     )
-    res = run_all(prog("loop()", extra), RunLimits(max_steps=100_000, max_fresh_vars=5))
+    p, limits = prog("loop()", extra), RunLimits(max_steps=100_000, max_fresh_vars=5)
+    res = run_all(p, limits)
     kinds = {r.kind for r in res.records}
     assert kinds == {"bound_exceeded"}
+    assert [r.kind for r in iter_runs(p, limits)] == ["bound_exceeded"]
+    assert run_one(p, limits=limits).kind == "bound_exceeded"
 
 
 # -- stores --------------------------------------------------------------
@@ -1096,7 +1099,9 @@ def reference_moves(agent: Agent, store: Store, fresh: Dict[str, int], program: 
     raise EngineError(f"not an agent: {agent!r}")
 
 
-def assert_step_matches_reference(cfg, program):
+def assert_step_matches_reference(cfg, program, leaves):
+    """Compare step with the reference at cfg, without a leaf memo and with
+    ``leaves``, a memo as run_all keeps one."""
     moves, hangs = reference_moves(cfg.agent, cfg.store, dict(cfg.fresh), program)
     want = []
     for mv in moves:
@@ -1104,23 +1109,25 @@ def assert_step_matches_reference(cfg, program):
         target = Configuration(kind, mv.agent, mv.store, tuple(sorted(mv.fresh.items())))
         if target not in [t for _, t, _ in want]:
             want.append((mv.rule, target, mv.pruned))
-    edges = step(cfg, program)
-    if want:
-        assert [(e.rule, e.target, e.pruned) for e in edges] == want
-        return
-    assert len(edges) == 1 and edges[0].target.kind == "hang"
-    assert edges[0].rule == (hangs[0][0] if len(hangs) == 1 else "quiescence")
-    assert edges[0].target.blocked == tuple(c for _, c in hangs)
+    for edges in (step(cfg, program), step(cfg, program, _leaves=leaves)):
+        if want:
+            assert [(e.rule, e.target, e.pruned) for e in edges] == want
+            continue
+        assert len(edges) == 1 and edges[0].target.kind == "hang"
+        assert edges[0].rule == (hangs[0][0] if len(hangs) == 1 else "quiescence")
+        assert edges[0].target.blocked == tuple(c for _, c in hangs)
 
 
 def assert_walk_matches_reference(program, limits=RunLimits(max_steps=60)):
     """Compare step with the reference on every configuration reachable
-    within the limits: the configurations iter_runs meets, each once."""
+    within the limits: the configurations iter_runs meets, each once.  One
+    leaf memo serves the whole walk, so leaves met again at a store are
+    looked up, as in run_all."""
     init = initial_configuration(program)
-    seen, todo = {init}, [(init, 0)]
+    seen, todo, leaves = {init}, [(init, 0)], {}
     while todo:
         cfg, depth = todo.pop()
-        assert_step_matches_reference(cfg, program)
+        assert_step_matches_reference(cfg, program, leaves)
         for e in step(cfg, program):
             nxt = e.target
             if nxt.kind == "running" and nxt not in seen and depth + 1 < limits.max_steps:

@@ -27,7 +27,8 @@ from softcc import (
     pretty_program,
     substitute,
 )
-from softcc.lang import walk
+from softcc.lang import Template, walk
+from softcc.observe import observe
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -510,3 +511,18 @@ def test_pretty_program_round_trip_fixtures():
         assert p2.decls == p1.decls, path.name
         assert p2.main == p1.main, path.name
         assert p2.interest == p1.interest
+
+
+def test_template_tables_are_built_once(monkeypatch):
+    # validation checks each template by building its table; resolve reuses it
+    built = []
+    base_constraint = Template.base_constraint
+
+    def counted(tpl, system):
+        built.append(tpl.name)
+        return base_constraint(tpl, system)
+
+    monkeypatch.setattr(Template, "base_constraint", counted)
+    p = parse_program((FIXTURES / "network.scc").read_text())
+    observe(p)
+    assert sorted(built) == sorted(p.templates) and len(p.templates) == 9
