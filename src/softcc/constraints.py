@@ -10,12 +10,12 @@ counts affordable.
 
 The algebra: ``tensor`` combines pointwise with x, ``oplus`` with +,
 ``project`` sums out eliminated variables, ``hide`` removes one variable,
-``leqc`` is the induced constraint order, and ``entails`` asks whether a
-set of constraints forces another one.  ``combine_project`` combines a
-factor list and projects in one pass via variable elimination so the full
-joint table never needs to exist; the factors of each bucket join in
-factor order.  Every operation that walks the cells of a joint table does
-so through ``_cells``.
+``leqc`` is the induced constraint order, equality is ``canonical_key``
+equality (``pointwise_eq``), and ``entails`` asks whether a set of constraints
+forces another one.  ``combine_project`` combines a factor list and projects
+in one pass via variable elimination so the full joint table never needs to
+exist; the factors of each bucket join in factor order.  Every operation that
+walks the cells of a joint table does so through ``_cells``.
 """
 
 from __future__ import annotations
@@ -486,21 +486,19 @@ def leqc(c1: Constraint, c2: Constraint) -> bool:
 
 
 def pointwise_eq(c1: Constraint, c2: Constraint) -> bool:
-    """Equality as functions of the full variable set, within tolerance.
+    """Equality as functions of the full variable set: equal canonical keys.
 
-    The carriers are chains, so two values are equal exactly when each is
-    below the other; equality is the order checked both ways.
+    ``Semiring.eq`` is equality of ``quantize`` grid points, an equivalence,
+    and ``canonical_key`` (support, pruning, default vote) reads the grid
+    values alone.  So two keys are equal exactly when each constraint lies
+    below the other, and given c1 below c2 the reverse check is the key test.
     """
-    return c1.canonical_key() == c2.canonical_key() or (leqc(c1, c2) and leqc(c2, c1))
+    return c1.canonical_key() == c2.canonical_key()
 
 
 def strictly_below(c1: Constraint, c2: Constraint) -> bool:
-    """c1 below c2 and not pointwise equal; false for incomparable pairs."""
-    return (
-        leqc(c1, c2)
-        and c1.canonical_key() != c2.canonical_key()
-        and not leqc(c2, c1)
-    )
+    """c1 below c2 and not pointwise equal, by key; false for incomparable pairs."""
+    return c1.canonical_key() != c2.canonical_key() and leqc(c1, c2)
 
 
 def glb(constraints: Sequence[Constraint], system: ConstraintSystem) -> Constraint:

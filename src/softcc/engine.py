@@ -64,8 +64,8 @@ from __future__ import annotations
 import math
 import random
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .constraints import (
     Constraint,
@@ -260,9 +260,9 @@ class Store:
         got = below.get(ck)
         if got is None:
             # only a store that entails phi can lie below it, and entailment
-            # needs no joint table; then it is strictly below unless phi is
-            # below it too
-            got = below[ck] = self.entails(phi) and not leqc(phi, self.materialize())
+            # needs no joint table; then it is strictly below unless it is
+            # phi itself, which the canonical key decides (see pointwise_eq)
+            got = below[ck] = self.entails(phi) and ck != self.materialize().canonical_key()
         return got
 
     def project(self, keep) -> Constraint:
@@ -284,30 +284,22 @@ class Store:
 # -- configurations -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """One point of a run: running agent, or a terminal verdict."""
+class Configuration(NamedTuple):
+    """One point of a run: running agent, or a terminal verdict.  A plain
+    tuple, equal by value over all five fields; ``blocked`` is a function of
+    agent and store within the one program an exploration compares under."""
 
     kind: str  # running | success | fail | hang
     agent: Optional[Agent]
     store: Store
     fresh: Tuple[Tuple[str, int], ...] = ()
-    blocked: Tuple[Constraint, ...] = field(default=(), compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # every memo, on-path and seen lookup hashes it, so hash it once
-        object.__setattr__(self, "_hash", hash((self.kind, self.agent, self.store, self.fresh)))
-
-    def __hash__(self):
-        return self._hash
+    blocked: Tuple[Constraint, ...] = ()
 
     def fresh_total(self) -> int:
         return sum(n for _, n in self.fresh)
 
 
-@dataclass(frozen=True)
-class StepEdge:
+class StepEdge(NamedTuple):
     rule: str
     target: Configuration
     pruned: bool = False  # the edge is a fail at a threshold the cut raised

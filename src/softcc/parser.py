@@ -74,6 +74,11 @@ class Token(NamedTuple):
     def pos(self) -> Tuple[int, int]:
         return (self.line, self.col)
 
+    @property
+    def shown(self) -> str:
+        """The token as a ``found …`` message names it."""
+        return "end of input" if self.kind == "EOF" else repr(self.value)
+
 
 _PUNCT2 = ("::", "->", "||")
 _PUNCT1 = ";,{}()=+.^[]"
@@ -93,7 +98,7 @@ def tokenize(text: str) -> List[Token]:
             continue
         if text.startswith("//", i):
             while i < n and text[i] != "\n":
-                i += 1
+                i, col = i + 1, col + 1
             continue
         start_line, start_col = line, col
         two = text[i : i + 2]
@@ -181,19 +186,19 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         t = self.next()
         if t.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {t.value!r}", t.pos)
+            raise ParseError(f"expected {kind!r}, found {t.shown}", t.pos)
         return t
 
     def expect_kw(self, word: str) -> Token:
         t = self.next()
         if t.kind != "IDENT" or t.value != word:
-            raise ParseError(f"expected {word!r}, found {t.value!r}", t.pos)
+            raise ParseError(f"expected {word!r}, found {t.shown}", t.pos)
         return t
 
     def ident(self, what: str = "name") -> Token:
         t = self.next()
         if t.kind != "IDENT":
-            raise ParseError(f"expected {what}, found {t.value!r}", t.pos)
+            raise ParseError(f"expected {what}, found {t.shown}", t.pos)
         if t.value in KEYWORDS:
             raise ParseError(f"{t.value!r} is a keyword and cannot be a {what}", t.pos)
         return t
@@ -211,7 +216,7 @@ class _Parser:
                 return False
             if t.value == "inf":
                 return math.inf
-        raise ParseError(f"expected a value, found {t.value!r}", t.pos)
+        raise ParseError(f"expected a value, found {t.shown}", t.pos)
 
     def atom(self):
         t = self.next()
@@ -219,7 +224,7 @@ class _Parser:
             return t.value
         if t.kind == "IDENT" and t.value not in KEYWORDS:
             return t.value
-        raise ParseError(f"expected a domain atom, found {t.value!r}", t.pos)
+        raise ParseError(f"expected a domain atom, found {t.shown}", t.pos)
 
     def varlist(self, allow_empty: bool, close: str) -> Tuple[str, ...]:
         out = []
@@ -393,7 +398,7 @@ class _Parser:
             elif word is not None:
                 raise ParseError(f"unexpected {word!r} in agent", t.pos)
             else:
-                raise ParseError(f"expected an agent, found {t.value!r}", t.pos)
+                raise ParseError(f"expected an agent, found {t.shown}", t.pos)
             while True:  # close every frame the atom completes, up to one that reads on
                 f = frames.pop()
                 if f[0] == "+":
@@ -435,7 +440,7 @@ class _Parser:
     def cexpr(self):
         t = self.peek()
         if t.kind != "IDENT":
-            raise ParseError(f"expected a constraint, found {t.value!r}", t.pos)
+            raise ParseError(f"expected a constraint, found {t.shown}", t.pos)
         if t.value == "diag":
             self.next()
             self.expect("(")

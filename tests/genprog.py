@@ -1,7 +1,10 @@
-"""Seeded generator of small terminating programs for property tests.
+"""Seeded generators of small programs for property tests.
 
-Every generated program is loop-free (no procedure calls), so every run
-terminates.  Thresholds are either eventual (bare arrow) or cut-style
+``gen_programs`` makes terminating programs; ``gen_cyclic_programs`` makes
+programs whose runs may not end (see ``gen_cyclic_program_text``).
+
+Every program ``gen_programs`` makes is loop-free (no procedure calls), so
+every run terminates.  Thresholds are either eventual (bare arrow) or cut-style
 (``->[tz]`` where tz is an all-zero constraint), never level thresholds,
 so the programs stay inside the branch-and-bound fragment.  Asks only
 re-ask constraints told earlier in the same component, so they fire in
@@ -136,5 +139,79 @@ def gen_programs(seed, count, eventual_only=False, allow_hang=False):
     out = []
     for _ in range(count):
         text = gen_program_text(rng, eventual_only, allow_hang)
+        out.append((text, parse_program(text)))
+    return out
+
+
+# -- programs with every agent form ---------------------------------------
+
+
+def exact_value(rng, semiring):
+    """A carrier value that x and + keep exact in floating point (fuzzy and
+    probabilistic values are multiples of 1/16, booleans even odds), so
+    every order of folding one multiset of tells reaches the same store and
+    the same key."""
+    if semiring in ("fuzzy", "probabilistic"):
+        return str(rng.randrange(1, 17) / 16)
+    if semiring == "boolean":
+        return rng.choice(("true", "false"))
+    return rand_value(rng, semiring)
+
+
+def gen_cyclic_program_text(rng, semiring):
+    """A program with every agent form, whose runs need not end.
+
+    A recursive procedure opens an exists in its body, the main agent nests
+    ``||``, a choice has an ask branch that can wait forever, and the arrows
+    take all three threshold kinds: eventual, ``->^v`` levels and ``->[t]``
+    cuts, each at least once.
+    """
+    lines = [f"semiring {semiring};", "domain {a, b};", "var x, y;"]
+    for name, formals in (("c0", "x"), ("c1", "x"), ("c2", "x"), ("r", "x, y"), ("t", "x")):
+        rows = " ".join(
+            f"({', '.join(tup)}) = {exact_value(rng, semiring)};"
+            for tup in itertools.product(ATOMS, repeat=formals.count(",") + 1)
+        )
+        lines.append(f"constraint {name}({formals}) {{ {rows} }}")
+    kinds = ["->", f"->^{exact_value(rng, semiring)}", "->[t]"]
+    pending = rng.sample(kinds, 3)
+
+    def arrow():
+        return pending.pop() if pending else rng.choice(kinds)
+
+    def con(v, w=None):
+        return f"r({v}, {w})" if w is not None and rng.random() < 0.4 else f"c{rng.randrange(3)}({v})"
+
+    def guard(v):
+        return f"const({ONE_LIT[semiring]})" if rng.random() < 0.5 else con(v)
+
+    fresh = f"exists z . tell({con('z', 'v')}) {arrow()}"
+    if rng.random() < 0.5:  # recursion on a fresh variable
+        body = f"ask({guard('v')}) {arrow()} stop + ask({guard('v')}) {arrow()} {fresh} p(z)"
+    else:  # recursion on the same variable, which can repeat a configuration
+        body = f"ask({guard('v')}) {arrow()} p(v) + ask({guard('v')}) {arrow()} {fresh} stop"
+    lines.append(f"proc p(v) :: {body};")
+    lines.append(f"proc q(v) :: exists z . tell({con('z', 'v')}) {arrow()} stop;")
+    # the first branch may wait for what is never told; the other two meet
+    # again with different fresh counters, which name the variable q opens
+    again = guard("y")
+    choice = (
+        f"ask({con('x', 'y')}) {arrow()} stop + ask({guard('x')}) {arrow()} q(y)"
+        f" + ask({again}) {arrow()} exists z . ask({again}) {arrow()} q(y)"
+    )
+    comps = [rng.choice(("p(x)", "p(y)")), choice, "stop"]
+    rng.shuffle(comps)
+    nested = f"( {comps[1]} || {comps[2]} )"
+    main = rng.choice((f"( {comps[0]} || {nested} )", f"( {nested} || {comps[0]} )"))
+    lines.append(f"agent = {main};")
+    return "\n".join(lines) + "\n"
+
+
+def gen_cyclic_programs(seed, count, semiring):
+    """Return `count` (text, parsed program) pairs in one semiring for a fixed seed."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        text = gen_cyclic_program_text(rng, semiring)
         out.append((text, parse_program(text)))
     return out

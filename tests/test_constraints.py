@@ -30,6 +30,7 @@ from softcc import (
     project,
     refutes_entailment,
     rename,
+    Store,
     strictly_below,
     tensor,
     tensor_all,
@@ -437,6 +438,72 @@ def test_order_antisymmetry_and_transitivity():
             if leqc(a, b) and leqc(b, c):
                 assert leqc(a, c)
             assert not strictly_below(a, a)
+
+
+# the order-based definitions the canonical key replaced: equality as the
+# order checked both ways, and a store below phi unless phi is below it too
+def ref_pointwise_eq(c1, c2):
+    return c1.canonical_key() == c2.canonical_key() or (leqc(c1, c2) and leqc(c2, c1))
+
+
+def ref_strictly_below(c1, c2):
+    return leqc(c1, c2) and c1.canonical_key() != c2.canonical_key() and not leqc(c2, c1)
+
+
+def ref_below_cut(store, phi):
+    return store.entails(phi) and not leqc(phi, store.materialize())
+
+
+def _nudged(c, rng):
+    """c with every float scaled by 1 +- 1e-13, kept inside the carrier."""
+    def nudge(v):
+        if isinstance(v, bool):
+            return v
+        w = v * rng.choice((1 + 1e-13, 1 - 1e-13))
+        return v * (1 - 1e-13) if w > 1 and c.system.semiring.kind != "weighted" else w
+
+    default = None if c.default is None else nudge(c.default)
+    return Constraint(c.system, c.vars, {k: nudge(v) for k, v in c.table.items()}, default)
+
+
+def _with_constant_column(c, var="w"):
+    """c as a function of one more variable that it ignores."""
+    table = {k + (a,): v for k, v in c.table.items() for a in c.system.domain}
+    return Constraint(c.system, c.vars + (var,), table, c.default)
+
+
+def test_key_equality_agrees_with_the_order_both_ways():
+    pairs = below = 0
+    outcomes = {True: 0, False: 0}
+    for system in small_systems():
+        rng = random.Random(repr(("equality", system.semiring.kind, len(system.domain))))
+        for _ in range(30):
+            a, b = rand_constraint(system, rng), rand_constraint(system, rng)
+            near = _nudged(a, rng)
+            for c1, c2 in (
+                (a, b),
+                (a, near),
+                (a, _with_constant_column(a)),
+                (_with_constant_column(near), a),
+                (tensor(a, b), a),
+                (a, oplus(a, b)),
+                (a, a),
+            ):
+                for x, y in ((c1, c2), (c2, c1)):
+                    eq = pointwise_eq(x, y)
+                    assert eq == ref_pointwise_eq(x, y) == (leqc(x, y) and leqc(y, x))
+                    assert strictly_below(x, y) == ref_strictly_below(x, y)
+                    outcomes[eq] += 1
+                    pairs += 1
+            # stores told seeded constraints, against cuts below, at and above them
+            store = Store(system)
+            for c in (a, b, rand_constraint(system, rng))[: rng.randrange(1, 4)]:
+                store = store.tell(c)
+            m = store.materialize()
+            for phi in (a, b, m, _nudged(m, rng), oplus(m, b), rand_constraint(system, rng)):
+                assert store.below_cut(phi) == ref_below_cut(store, phi)
+                below += store.below_cut(phi)
+    assert pairs >= 3000 and min(outcomes.values()) > 500 and below > 200
 
 
 # -- cylindrification ---------------------------------------------------

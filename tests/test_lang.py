@@ -302,9 +302,22 @@ def test_error_trailing_input():
 
 
 def test_parse_error_position_is_exact():
-    with pytest.raises(ProgramError) as e:
-        parse_program("semiring fuzzy;\ndomain {a};\nvar x;\nagent = tell(zzz(x)) -> stop;\n")
-    assert "line 4, column 14" in str(e.value)
+    cases = [
+        ("semiring fuzzy;\ndomain {a};\nvar x;\nagent = tell(zzz(x)) -> stop;\n", "line 4, column 14"),
+        # the end of input is named as such, and a comment advances the column
+        (
+            "semiring fuzzy; domain {a}; var x; agent = stop // trailing note",
+            "line 1, column 65: expected ';', found end of input",
+        ),
+        (
+            "semiring fuzzy;\ndomain {a};\nvar x;\nagent = tell(",
+            "line 4, column 14: expected a constraint, found end of input",
+        ),
+    ]
+    for text, where in cases:
+        with pytest.raises(ProgramError) as e:
+            parse_program(text)
+        assert where in str(e.value)
 
 
 # -- free variables ------------------------------------------------------
