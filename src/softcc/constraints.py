@@ -14,13 +14,17 @@ The algebra: ``tensor`` combines pointwise with x, ``oplus`` with +,
 equality (``pointwise_eq``), and ``entails`` asks whether a set of constraints
 forces another one.  ``combine_project`` combines a factor list and projects
 in one pass via variable elimination so the full joint table never needs to
-exist; the factors of each bucket join in factor order.  Every operation that
-walks the cells of a joint table does so through ``_cells``.
+exist; the factors of each bucket join in factor order.  ``tensor`` joins
+the listed rows: by direct lookup when the second support lies inside the
+first, as every fold of a tell into a store factor does, and through
+buckets on the shared variables otherwise.  Every operation that walks the
+cells of a joint table does so through ``_cells``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .semiring import Semiring, Value, quantize
@@ -159,25 +163,31 @@ class Constraint:
     # -- support -------------------------------------------------------
 
     def support(self) -> frozenset:
-        """Variables the function really depends on; constant columns drop out."""
+        """Variables the function really depends on; constant columns drop out.
+
+        Each variable takes one pass over the rows' grid values
+        (``quantize``, the points ``Semiring.eq`` compares), grouped by the
+        rest of their key, and stops at the first group whose values differ;
+        a group that lists fewer rows than the domain has atoms also meets
+        the default.
+        """
         if self._supp is None:
-            s = self.system.semiring
             ndom = len(self.system.domain)
+            rows = [(key, quantize(val)) for key, val in self.table.items()]
             live = []
             for i, v in enumerate(self.vars):
-                groups = {}
-                for key, val in self.table.items():
-                    groups.setdefault(key[:i] + key[i + 1 :], []).append(val)
-                varies = False
-                for vals in groups.values():
-                    if len(vals) < ndom and self.default is not None:
-                        vals = vals + [self.default]
-                    first = vals[0]
-                    if any(not s.eq(first, x) for x in vals[1:]):
-                        varies = True
+                seen = {}  # group -> its first grid value
+                for key, q in rows:
+                    if seen.setdefault(key[:i] + key[i + 1 :], q) != q:
                         break
-                if varies:
-                    live.append(v)
+                else:
+                    if self.default is None or len(rows) == ndom * len(seen):
+                        continue  # every group is complete
+                    qd = quantize(self.default)
+                    sizes = Counter(key[:i] + key[i + 1 :] for key, _ in rows)
+                    if all(q == qd or sizes[g] == ndom for g, q in seen.items()):
+                        continue
+                live.append(v)
             self._supp = frozenset(live)
         return self._supp
 
@@ -212,14 +222,19 @@ class Constraint:
         value as default (ties go to the smallest) and every other cell
         listed.  Unlisted cells are counted, not enumerated, unless the
         stored default loses the vote; then they number at most the
-        listed rows.
+        listed rows.  Rows are reordered only when the variables are not
+        sorted already, the vote is skipped when every cell has one value,
+        and the rows are sorted only when there are two or more.
         """
         if self._canon is None:
             c = self.pruned()
-            order = sorted(range(len(c.vars)), key=lambda i: c.vars[i])
-            svars = tuple(c.vars[i] for i in order)
             system = c.system
-            table = {tuple(key[i] for i in order): quantize(val) for key, val in c.table.items()}
+            svars = tuple(sorted(c.vars))
+            if svars == c.vars:
+                table = {key: quantize(val) for key, val in c.table.items()}
+            else:
+                order = [c.vars.index(v) for v in svars]
+                table = {tuple([key[i] for i in order]): quantize(val) for key, val in c.table.items()}
             counts = {}
             for v in table.values():
                 counts[v] = counts.get(v, 0) + 1
@@ -227,19 +242,21 @@ class Constraint:
             if unlisted:
                 stored = quantize(c.default)
                 counts[stored] = counts.get(stored, 0) + unlisted
-            # deterministic tie-break: highest count, then smallest value
-            top = max(counts.values())
-            default = min((v for v, n in counts.items() if n == top), key=lambda v: (isinstance(v, bool), v))
+            if len(counts) == 1:
+                (default,) = counts
+            else:
+                # deterministic tie-break: highest count, then smallest value
+                default, top = None, 0
+                for v, n in counts.items():
+                    if n > top or n == top and v < default:
+                        default, top = v, n
             if unlisted and default != stored:
                 for key in itertools.product(system.domain, repeat=len(svars)):
                     table.setdefault(key, stored)
-            rows = tuple(
-                sorted(
-                    ((k, v) for k, v in table.items() if v != default),
-                    key=lambda kv: _row_key(kv[0]),
-                )
-            )
-            self._canon = (system.semiring.kind, svars, default, rows)
+            rows = [(k, v) for k, v in table.items() if v != default]
+            if len(rows) > 1:
+                rows.sort(key=lambda kv: _row_key(kv[0]))
+            self._canon = (system.semiring.kind, svars, default, tuple(rows))
         return self._canon
 
     def __eq__(self, other) -> bool:
@@ -324,31 +341,51 @@ def rename(c: Constraint, mapping: Mapping[str, str]) -> Constraint:
 
 
 def tensor(c1: Constraint, c2: Constraint) -> Constraint:
-    """Pointwise combination with x over the union of supports."""
-    if c1.system.semiring is not c2.system.semiring or c1.system.domain != c2.system.domain:
-        raise ConstraintError("constraints belong to different systems")
+    """Pointwise combination with x over the union of supports.
+
+    When everything unlisted is the zero, the join runs over listed rows
+    alone.  If c2's variables all lie in c1's, each row of c1 meets at most
+    one row of c2 and looks it up directly (by its own key when the
+    variables are the same, in the same order); otherwise the rows of c2
+    are bucketed by the variables the two share.
+    """
     system = c1.system
+    if system is not c2.system and (
+        system.semiring is not c2.system.semiring or system.domain != c2.system.domain
+    ):
+        raise ConstraintError("constraints belong to different systems")
     s = system.semiring
-    union = _union_vars(c1, c2)
     if _sparse_ok(c1) and _sparse_ok(c2):
-        shared = [v for v in c2.vars if v in c1.vars]
-        i1 = _indices(shared, c1.vars)
-        i2 = _indices(shared, c2.vars)
-        extra2 = [i for i, v in enumerate(c2.vars) if v not in c1.vars]
-        buckets = {}
-        for key2, val2 in c2.table.items():
-            buckets.setdefault(tuple(key2[i] for i in i2), []).append((key2, val2))
+        combine, eq, zero = s.combine, s.eq, s.zero
+        v1, v2, t2 = c1.vars, c2.vars, c2.table
         table = {}
-        zero = s.zero
+        extra = [i for i, v in enumerate(v2) if v not in v1]
+        if not extra:
+            same = v1 == v2
+            idx = [v1.index(v) for v in v2]
+            for key1, val1 in c1.table.items():
+                val2 = t2.get(key1 if same else tuple([key1[i] for i in idx]))
+                if val2 is not None:
+                    v = combine(val1, val2)
+                    if not eq(v, zero):
+                        table[key1] = v
+            return Constraint._unchecked(system, v1, table, zero)
+        shared = [v for v in v2 if v in v1]
+        i1 = _indices(shared, v1)
+        i2 = _indices(shared, v2)
+        buckets = {}
+        for key2, val2 in t2.items():
+            buckets.setdefault(tuple([key2[i] for i in i2]), []).append(
+                (tuple([key2[i] for i in extra]), val2)
+            )
         for key1, val1 in c1.table.items():
-            probe = tuple(key1[i] for i in i1)
-            for key2, val2 in buckets.get(probe, ()):
-                v = s.combine(val1, val2)
-                if s.eq(v, zero):
-                    continue
-                table[key1 + tuple(key2[i] for i in extra2)] = v
-        return Constraint._unchecked(system, union, table, zero)
-    table = {key: s.combine(v1, v2) for key, (v1, v2) in _cells((c1, c2), union, "tensor")}
+            for ext, val2 in buckets.get(tuple([key1[i] for i in i1]), ()):
+                v = combine(val1, val2)
+                if not eq(v, zero):
+                    table[key1 + ext] = v
+        return Constraint._unchecked(system, v1 + tuple(v2[i] for i in extra), table, zero)
+    union = _union_vars(c1, c2)
+    table = {key: s.combine(a, b) for key, (a, b) in _cells((c1, c2), union, "tensor")}
     return Constraint._unchecked(system, union, table)
 
 
@@ -532,9 +569,14 @@ def combine_project(
     intermediate tables stay near the size the factor graph demands.  The
     elimination order picks the variable with the narrowest bucket; within
     a bucket, and for what is left at the end, factors join in the order
-    given, since any join order yields the same table.
+    given, since any join order yields the same table.  A lone factor with
+    nothing to eliminate is its pruned self.
     """
     keepset = set(keep)
+    if len(factors) == 1:
+        c = factors[0].pruned()
+        if keepset.issuperset(c.vars):
+            return c
     pruned = [c.pruned() for c in factors]
     work = [c for c in pruned if c.vars]
     scalars = [c for c in pruned if not c.vars]

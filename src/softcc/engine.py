@@ -14,7 +14,8 @@ x is commutative and associative, so schedules that tell the same
 constraints in other orders reach pointwise-equal stores.  Within one
 ``run_all`` call or branch-and-bound session, such stores share their
 "pw" key and entailment and cut answers; factors, projections and a wide
-store's "fs" key follow the order of folding and stay each store's own.
+store's "fs" key, the multiset of its factors' keys, follow the order of
+folding and stay each store's own.
 Stores built any other way share nothing.
 
 A configuration is an agent plus a store (plus the fresh-name counters a
@@ -64,6 +65,7 @@ from __future__ import annotations
 import math
 import random
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -183,19 +185,20 @@ class Store:
         variables, and so successors on different sides of the pointwise cap.
         """
         ck = c.canonical_key()
-        if ck in self.told and self.system.semiring.idempotent_times:
+        known = ck in self.told
+        if known and self.system.semiring.idempotent_times:
             return self
         memo = (c.vars, ck)
         ref = self._tells.get(memo)
         new = ref() if ref is not None else None
         if new is None:
-            new = self._fold(c, ck)
+            new = self._fold(c, ck, known)
             self._tells[memo] = weakref.ref(new)
         return new
 
-    def _fold(self, c: Constraint, ck) -> "Store":
+    def _fold(self, c: Constraint, ck, known: bool) -> "Store":
         system = self.system
-        told = self.told if ck in self.told else self.told | {ck}
+        told = self.told if known else self.told | {ck}
         ans = self._ans
         answers = None if ans.table is None else ans.after(ck, told)
         cv = set(c.vars)
@@ -209,7 +212,10 @@ class Store:
         return Store(system, folded, told, _answers=answers)
 
     def vars(self) -> tuple:
-        return tuple(dict.fromkeys(v for f in self.factors for v in f.vars))
+        factors = self.factors
+        if len(factors) == 1:
+            return factors[0].vars
+        return tuple(dict.fromkeys([v for f in factors for v in f.vars]))
 
     def key(self) -> tuple:
         if self._key is None:
@@ -219,9 +225,9 @@ class Store:
                 if ans.pw is None:
                     ans.pw = ("pw", self.materialize().canonical_key())
                 self._key = ans.pw
-            else:
-                keys = (f.canonical_key() for f in self.factors)
-                self._key = ("fs", tuple(sorted(keys, key=repr)))
+            else:  # a wide store: the multiset of its factor keys
+                keys = Counter(f.canonical_key() for f in self.factors)
+                self._key = ("fs", frozenset(keys.items()))
         return self._key
 
     def __eq__(self, other):

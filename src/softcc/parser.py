@@ -131,7 +131,10 @@ def tokenize(text: str) -> List[Token]:
                         j += 1
             lit = text[i:j]
             if isfloat:
-                toks.append(Token("FLOAT", float(lit), start_line, start_col))
+                f = float(lit)
+                if math.isinf(f):  # a finite literal past the largest float
+                    raise ParseError(f"number {lit} does not fit a float", (start_line, start_col))
+                toks.append(Token("FLOAT", f, start_line, start_col))
             else:
                 try:
                     toks.append(Token("INT", int(lit), start_line, start_col))
@@ -226,18 +229,21 @@ class _Parser:
             return t.value
         raise ParseError(f"expected a domain atom, found {t.shown}", t.pos)
 
-    def varlist(self, allow_empty: bool, close: str) -> Tuple[str, ...]:
+    def varlist(self, allow_empty: bool, close: str, distinct: bool = False) -> Tuple[str, ...]:
         out = []
         if self.at(close):
             if not allow_empty:
                 t = self.peek()
                 raise ParseError("expected at least one variable", t.pos)
             return ()
-        out.append(self.ident("variable").value)
-        while self.at(","):
+        while True:
+            t = self.ident("variable")
+            if distinct and t.value in out:
+                raise ParseError(f"duplicate variable {t.value!r}", t.pos)
+            out.append(t.value)
+            if not self.at(","):
+                return tuple(out)
             self.next()
-            out.append(self.ident("variable").value)
-        return tuple(out)
 
     # -- program structure ----------------------------------------------
 
@@ -254,32 +260,35 @@ class _Parser:
 
         self.expect_kw("domain")
         self.expect("{")
-        atoms = [self.atom()]
-        while self.at(","):
+        atoms = []
+        while True:
+            t = self.peek()
+            a = self.atom()
+            if a in atoms:
+                raise ParseError(f"duplicate domain atom {a!r}", t.pos)
+            atoms.append(a)
+            if not self.at(","):
+                break
             self.next()
-            atoms.append(self.atom())
         self.expect("}")
         self.expect(";")
 
         self.expect_kw("var")
-        variables = self.varlist(allow_empty=False, close=";")
+        variables = self.varlist(allow_empty=False, close=";", distinct=True)
         self.expect(";")
 
         templates = {}
         decls = {}
-        while True:
+        while self.at_kw("constraint") or self.at_kw("proc"):
             if self.at_kw("constraint"):
-                tpl = self.constraintdef()
-                if tpl.name in templates:
-                    raise ParseError(f"constraint defined twice: {tpl.name}", tpl.pos)
-                templates[tpl.name] = tpl
-            elif self.at_kw("proc"):
-                d = self.procdef()
-                if d.name in decls:
-                    raise ParseError(f"procedure defined twice: {d.name}", d.pos)
-                decls[d.name] = d
+                got, kind, own, other = self.constraintdef(), "constraint", templates, decls
             else:
-                break
+                got, kind, own, other = self.procdef(), "procedure", decls, templates
+            if got.name in own:
+                raise ParseError(f"{kind} defined twice: {got.name}", got.pos)
+            if got.name in other:
+                raise ParseError(f"{got.name!r} names both a constraint and a proc", got.pos)
+            own[got.name] = got
 
         main = None
         if self.at_kw("agent"):
@@ -470,15 +479,6 @@ class _Parser:
 
 
 def _validate(p: Program, where: Dict[object, Tuple[int, int]]) -> Program:
-    seen = set()
-    for v in p.variables:
-        if v in seen:
-            raise ProgramError(f"duplicate variable {v!r}")
-        seen.add(v)
-
-    for name in set(p.templates) & set(p.decls):
-        raise ProgramError(f"{name!r} names both a constraint and a proc")
-
     # building the base constraint checks arities, atoms, values, density;
     # resolve reuses the checked table
     for tpl in p.templates.values():

@@ -94,8 +94,9 @@ class Semiring:
 
     def eq(self, a: Value, b: Value) -> bool:
         """Value equality: the same grid point under ``quantize``."""
-        # values more than 2 TOL apart never share a grid point
-        return a == b or (abs(a - b) <= 2 * TOL and quantize(a) == quantize(b))
+        # values more than 2 TOL apart, beyond what a / TOL rounds off at
+        # their magnitude, never share a grid point
+        return a == b or (abs(a - b) <= 2 * TOL + 1e-15 * abs(a) and quantize(a) == quantize(b))
 
     def leq(self, a: Value, b: Value) -> bool:
         """The induced order: a <= b iff a + b = b."""

@@ -624,6 +624,105 @@ def test_combine_project_matches_naive():
                 assert set(fast.support()) <= set(keep)
 
 
+def _shaped(system, rng, vs, shape):
+    """A seeded table over vs: "dense", or sparse with a "zero" or a
+    "nonzero" default; a sparse table sometimes lists one value only."""
+    s = system.semiring
+    keys = itertools.product(system.domain, repeat=len(vs))
+    if shape == "dense":
+        return Constraint(system, vs, {k: s.sample(rng) for k in keys})
+    default = s.zero
+    while shape == "nonzero" and s.eq(default, s.zero):
+        default = s.sample(rng)
+    one_value = s.sample(rng) if rng.random() < 0.3 else None
+    listed = {k: s.sample(rng) if one_value is None else one_value for k in keys if rng.random() < 0.6}
+    return Constraint(system, vs, listed, default=default)
+
+
+def _cells_of(system, vs):
+    for key in itertools.product(system.domain, repeat=len(vs)):
+        yield dict(zip(vs, key))
+
+
+def _second_support(rng, v1, kind, pool):
+    """c2's support against c1's, by the relation named by kind."""
+    others = [v for v in pool if v not in v1]
+    if kind == "same":
+        return v1
+    if kind == "permuted":
+        return v1[::-1]
+    if kind == "inside":
+        return tuple(rng.sample(v1, rng.randrange(1, len(v1))))
+    if kind == "containing":
+        return tuple(rng.sample(v1 + (others[0],), len(v1) + 1))
+    if kind == "overlapping":
+        return (others[0], v1[rng.randrange(len(v1))])
+    if kind == "disjoint":
+        return tuple(others[: rng.randrange(1, 3)])
+    return ()
+
+
+def test_kernels_match_their_cellwise_definitions():
+    # tensor, support, pruned, combine_project and canonical keys against
+    # their definitions, cell by cell through eval: the joins, the early
+    # exits and the skipped reorderings and votes all keep the function
+    pool = ("x", "y", "z", "w")
+    kinds = ("same", "permuted", "inside", "containing", "overlapping", "disjoint", "empty")
+    shapes = ("dense", "zero", "nonzero")
+    # each kind of pair meets every shape of c1, and all nine pairs of
+    # shapes occur, with c2's shapes turned one step per kind
+    cases = [
+        (kind, sh1, sh2)
+        for n, kind in enumerate(kinds)
+        for sh1, sh2 in zip(shapes, shapes[n % 3 :] + shapes[: n % 3])
+    ]
+    for system in small_systems():
+        s = system.semiring
+        rng = random.Random(repr(("kernels", s.kind, len(system.domain))))
+        for kind, sh1, sh2 in cases:
+            v1 = tuple(rng.sample(pool, 2))
+            c1 = _shaped(system, rng, v1, sh1)
+            c2 = _shaped(system, rng, _second_support(rng, v1, kind, pool), sh2)
+            union = tuple(dict.fromkeys(c1.vars + c2.vars))
+            both = tensor(c1, c2)
+            for a in _cells_of(system, union):
+                assert s.eq(both.eval(a), s.combine(c1.eval(a), c2.eval(a)))
+            for c in (c1, c2, both):
+                live = {
+                    v
+                    for a in _cells_of(system, c.vars)
+                    for v in c.vars
+                    for atom in system.domain
+                    if not s.eq(c.eval(a), c.eval({**a, v: atom}))
+                }
+                assert c.support() == live
+                for a in _cells_of(system, c.vars):
+                    assert s.eq(c.pruned().eval(a), c.eval(a))
+            c3 = rand_constraint(system, rng, pool=pool)
+            for factors in ([c1], [c1, c2], [c2, c1, c3]):
+                joint = tuple(dict.fromkeys(v for f in factors for v in f.vars))
+                cells = [(a, s.combine_all(f.eval(a) for f in factors)) for a in _cells_of(system, joint)]
+                for keep in ((), v1[:1], v1, pool):
+                    got = combine_project(factors, keep, system)
+                    sums = {}
+                    for a, p in cells:
+                        k = tuple(a[v] for v in joint if v in keep)
+                        sums[k] = s.sum(sums[k], p) if k in sums else p
+                    for a, _ in cells:
+                        assert s.eq(got.eval(a), sums[tuple(a[v] for v in joint if v in keep)])
+            # c1 listed densely, over its variables reversed and over one more
+            # variable it ignores; c1 pruned; and other functions
+            wider = v1 + (next(v for v in pool if v not in v1),)
+            forms = [
+                Constraint(system, vs, {tuple(a[v] for v in vs): c1.eval(a) for a in _cells_of(system, vs)})
+                for vs in (v1, v1[::-1], wider)
+            ] + [c1.pruned(), c2, both]
+            for other in forms:
+                cells = _cells_of(system, tuple(dict.fromkeys(c1.vars + other.vars)))
+                same = all(s.eq(c1.eval(a), other.eval(a)) for a in cells)
+                assert (c1.canonical_key() == other.canonical_key()) == same
+
+
 def test_empty_folds():
     sys2 = crossword_system()
     assert tensor_all([], sys2).scalar() == pytest.approx(1.0)

@@ -313,6 +313,18 @@ def test_parse_error_position_is_exact():
             "semiring fuzzy;\ndomain {a};\nvar x;\nagent = tell(",
             "line 4, column 14: expected a constraint, found end of input",
         ),
+        # a finite literal past the largest float is refused, not read as inf
+        (
+            "semiring weighted;\ndomain {a};\nvar x;\nconstraint c(x) { (a) = 1e400; }\n",
+            "line 4, column 25: number 1e400 does not fit a float",
+        ),
+        # repeated header names are reported where they repeat
+        ("semiring fuzzy;\ndomain {a};\nvar x, y, x;\n", "line 3, column 11: duplicate variable 'x'"),
+        ("semiring fuzzy;\ndomain {a, b, a};\n", "line 2, column 15: duplicate domain atom 'a'"),
+        (
+            "semiring fuzzy;\ndomain {a};\nvar x;\nproc p() :: stop;\nconstraint p(x) { default = 1; }\n",
+            "line 5, column 1: 'p' names both a constraint and a proc",
+        ),
     ]
     for text, where in cases:
         with pytest.raises(ProgramError) as e:

@@ -22,6 +22,7 @@ from softcc import (
     consistent,
     parse_program,
 )
+from softcc.semiring import quantize
 
 N = 1200
 
@@ -127,6 +128,22 @@ def test_eq_tolerance():
     assert not WEIGHTED.eq(math.inf, 1e12)
     # boolean equality is exact, no coercion
     assert BOOLEAN.eq(True, True) and not BOOLEAN.eq(True, False)
+
+
+def test_eq_is_grid_equality_at_every_magnitude():
+    # past about 1e7, a / TOL rounds off more than the grid spacing, so
+    # floats more than 2 TOL apart can share a grid point; eq must say so,
+    # as support and canonical keys read the grid points themselves
+    a, b = 100000000.00000001, 100000000.00000003  # adjacent floats, 1.5e-8 apart
+    assert quantize(a) == quantize(b) and WEIGHTED.eq(a, b)
+    rng = random.Random(5)
+    for _ in range(20000):
+        a = rng.choice((rng.uniform(0, 10), rng.uniform(1e6, 1e12), 10 ** rng.uniform(12, 300)))
+        b = a + rng.uniform(-3, 3) * TOL if rng.random() < 0.3 else a
+        for _ in range(rng.randrange(40)):
+            b = math.nextafter(b, rng.choice((0.0, math.inf)))
+        for x, y in ((a, b), (b, a), (a, math.inf), (math.inf, a)):
+            assert WEIGHTED.eq(x, y) == (quantize(x) == quantize(y)), (x, y)
 
 
 def test_carrier_validation():
