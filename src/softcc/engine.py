@@ -53,8 +53,14 @@ by store identity and leaf: every leaf met again at the same store, in
 any configuration, costs one lookup.  Each entry pins its store, so the
 memo belongs to the exploration and not to the store; the stores it
 holds are freed when the call, or the session that branch and bound
-hands it, ends.  ``iter_runs`` yields the runs one by one in leftmost
-order and keeps no leaf memo, so it stays an independent oracle.
+hands it, ends.  Next to it, each call owns an unfold memo of the work
+that reads no store: a call's body, and a chain of binders opened under
+given fresh counters, with the counters after it.  So each call and
+binder unfolds once per exploration.  The unfold memo goes with the
+call, even in a session: branch and bound's cut passes unfold one
+hash-consed call to different bodies.  ``iter_runs`` yields the runs
+one by one in leftmost order and keeps no memo, so it stays an
+independent oracle.
 ``run_one`` follows a single run under a leftmost or seeded random
 policy; leftmost builds only the moves of the first component that can
 move.
@@ -319,10 +325,11 @@ _RULES = {
 }
 
 
-def _leaf(agent: Agent, store: Store, program: Program):
+def _leaf(agent: Agent, store: Store, program: Program, unfolded: Dict):
     """The rule applications of a leaf, an agent that is neither a Par nor
     an exists: (moves, hang-candidates), each move a tuple (rule, kind,
-    agent, store, pruned).  They read the leaf and the store alone."""
+    agent, store, pruned).  They read the leaf and the store alone.  A
+    call's body is looked up in, or else added to, ``unfolded``."""
     if isinstance(agent, (Tell, Ask)):
         fires, fails, waits = _RULES[type(agent), type(agent.threshold)]
         c = program.resolve(agent.con)
@@ -344,7 +351,7 @@ def _leaf(agent: Agent, store: Store, program: Program):
     if isinstance(agent, Sum):
         proceeds, pruned, hangs = [], False, []
         for b in agent.branches:  # each an ask
-            m, h = _leaf(b, store, program)
+            m, h = _leaf(b, store, program, unfolded)
             for mv in m:
                 _, kind, _, _, cut = mv
                 if kind == "running":
@@ -359,18 +366,20 @@ def _leaf(agent: Agent, store: Store, program: Program):
         return [], [("choice-hang", c) for _, c in hangs]
 
     if isinstance(agent, Call):
-        d = program.decls.get(agent.name)
-        if d is None:
-            raise EngineError(f"unknown proc {agent.name!r}")
-        if len(agent.args) != len(d.params):
-            raise EngineError(f"arity mismatch calling {agent.name!r}")
-        body = substitute(d.body, dict(zip(d.params, agent.args)))
+        body = unfolded.get(agent)
+        if body is None:
+            d = program.decls.get(agent.name)
+            if d is None:
+                raise EngineError(f"unknown proc {agent.name!r}")
+            if len(agent.args) != len(d.params):
+                raise EngineError(f"arity mismatch calling {agent.name!r}")
+            body = unfolded[agent] = substitute(d.body, dict(zip(d.params, agent.args)))
         return [("call", "running", body, store, False)], []
 
     raise EngineError(f"not an agent: {agent!r}")
 
 
-def step(cfg: Configuration, program: Program, first=False, *, _leaves=None) -> List[StepEdge]:
+def step(cfg: Configuration, program: Program, first=False, *, _memo=None) -> List[StepEdge]:
     """Every rule application from a configuration, deduplicated.
 
     One walk over the Par and exists nodes with an explicit stack.  Each
@@ -383,18 +392,22 @@ def step(cfg: Configuration, program: Program, first=False, *, _leaves=None) -> 
     Terminal configurations have no successors.  A running configuration
     where nothing can move and at least one ask is waiting steps to Hang.
     With ``first``, the walk ends at the leftmost leaf that moves; the first
-    edge is the same.  ``_leaves`` is ``run_all``'s leaf memo, which
-    supplies the result of every leaf that already met this store; the
-    edges are the same with or without it.
+    edge is the same.  ``_memo`` is ``run_all``'s pair (leaf memo, unfold
+    memo).  The leaf memo supplies the result of every leaf that already
+    met this store.  The unfold memo, which reads no store, supplies every
+    call's body and every binder chain's opening under given counters that
+    the exploration already built.  The edges are the same with or without
+    them.
     """
     if cfg.kind != "running":
         return []
     store = cfg.store
-    at = {}
-    if _leaves is not None:
-        entry = _leaves.get(id(store))
+    at, unfolded = {}, {}
+    if _memo is not None:
+        leaves, unfolded = _memo
+        entry = leaves.get(id(store))
         if entry is None:
-            entry = _leaves[id(store)] = (store, at)  # the store is pinned, so its id stays its own
+            entry = leaves[id(store)] = (store, at)  # the store is pinned, so its id stays its own
         at = entry[1]
     edges: List[StepEdge] = []
     seen, hangs = set(), []
@@ -406,17 +419,20 @@ def step(cfg: Configuration, program: Program, first=False, *, _leaves=None) -> 
             todo.append((a.left, (True, a.right, up), fresh))
             continue
         if isinstance(a, Exists):
-            fr, names = dict(fresh), {}
-            while isinstance(a, Exists):
-                k = fr.get(a.var, 0)
-                fr[a.var] = k + 1
-                names[a.var] = f"{a.var}#{k}"  # an inner binder shadows an outer one
-                a = a.body
-            todo.append((substitute(a, names), up, tuple(sorted(fr.items()))))
+            got = unfolded.get((a, fresh))
+            if got is None:
+                fr, names, b = dict(fresh), {}, a
+                while isinstance(b, Exists):
+                    k = fr.get(b.var, 0)
+                    fr[b.var] = k + 1
+                    names[b.var] = f"{b.var}#{k}"  # an inner binder shadows an outer one
+                    b = b.body
+                got = unfolded[a, fresh] = substitute(b, names), tuple(sorted(fr.items()))
+            todo.append((got[0], up, got[1]))
             continue
         got = at.get(a)
         if got is None:
-            got = at[a] = _leaf(a, store, program)
+            got = at[a] = _leaf(a, store, program, unfolded)
         moves, waiting = got
         hangs += waiting
         for rule, kind, new, after, pruned in moves:
@@ -428,8 +444,9 @@ def step(cfg: Configuration, program: Program, first=False, *, _leaves=None) -> 
                     new = Par(new, other) if left else Par(other, new)
                 kind = "running"
             target = Configuration(kind, new, after, fresh)
-            if target not in seen:
-                seen.add(target)
+            n = len(seen)
+            seen.add(target)
+            if len(seen) > n:  # no earlier edge reaches target
                 edges.append(StepEdge(rule, target, pruned))
         if first and edges:
             break
@@ -551,16 +568,19 @@ def run_all(
     The call owns its leaf memo (see the module docstring), which goes
     with it unless ``_session``, a private ``_Session``, holds the memo
     and supplies the root store; without one, the call runs in a session
-    of its own.
+    of its own.  It also owns an unfold memo, so each call and binder
+    unfolds once in the exploration; that memo always goes with the call.
     """
     main = _main(program)
     session = _Session(program.system) if _session is None else _session
     leaves: Dict[int, tuple] = {}  # id(store) -> (store, {leaf: (moves, waiting)})
     session.leaves.append(leaves)
+    # the unfold memo: call -> body, and (exists, fresh) -> (opened agent, fresh)
+    step_memo = leaves, {}
     init = Configuration("running", main, session.root)
     memo: Dict[Configuration, Tuple[list, int]] = {}  # cfg -> (rows, height)
     onpath = {init}
-    root = _Frame(None, init, 0, step(init, program, _leaves=leaves))
+    root = _Frame(None, init, 0, step(init, program, _memo=step_memo))
     expansions = 1
     stack = [root]
     stopped = False
@@ -589,7 +609,7 @@ def run_all(
                     f.height = math.inf  # the verdict depends on the depth
                 _merge(f.agg, "bound_exceeded", None, ())
                 continue
-            stack.append(_Frame(rule, nxt, f.depth + 1, step(nxt, program, _leaves=leaves)))
+            stack.append(_Frame(rule, nxt, f.depth + 1, step(nxt, program, _memo=step_memo)))
             expansions += 1
             onpath.add(nxt)
             continue
@@ -676,9 +696,10 @@ def run_one(
         trace.append((edge.rule, nxt))
         if nxt.kind != "running":
             return RunRecord(nxt.kind, nxt, tuple(trace), 1, int(edge.pruned))
-        if nxt in seen:
+        n = len(seen)
+        seen.add(nxt)
+        if len(seen) == n:  # nxt was seen before
             return RunRecord("divergent", None, tuple(trace))
         if nxt.fresh_total() > limits.max_fresh_vars:
             return RunRecord("bound_exceeded", None, tuple(trace))
-        seen.add(nxt)
         cfg = nxt

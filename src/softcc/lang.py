@@ -14,8 +14,12 @@ Cut(constant zero).
 
 Every syntax node is hash-consed: its class returns the live node with
 the same fields if there is one, so equal nodes are one object, and
-equality and hashing are by identity.  ``Sum`` also checks the grammar:
-a choice has two or more branches, each an Ask.  The parser keeps source
+equality and hashing are by identity.  The live nodes sit in one
+process-wide table from (class, *fields) to a weak reference, which a
+constructor probes with one dict lookup; only the classes that hold
+values or constraints (``Level``, ``ConstRef``, ``Cut``) map their
+fields through ``_key`` first.  ``Sum`` also checks the grammar: a
+choice has two or more branches, each an Ask.  The parser keeps source
 positions aside.  Every walker over agents is built on ``walk``, a
 pre-order iterator, or ``rebuild``, a bottom-up map; both keep an
 explicit stack, so depth costs no recursion.  The engine's step walk and
@@ -46,8 +50,16 @@ class ProgramError(ValueError):
 # -- hash-consed nodes --------------------------------------------------
 
 # process-wide, so equal agents are one object wherever they were built;
-# weak, so it keeps no node alive
-_live: "weakref.WeakValueDictionary[tuple, Node]" = weakref.WeakValueDictionary()
+# (class, *fields) -> weak reference, so it keeps no node alive.  When a
+# node dies, _gone drops its entry, unless a rebuilt node took the key
+# since.  ``live`` is bound at definition: at interpreter exit the module
+# globals may be gone before the last callback runs.
+_live: "Dict[tuple, weakref.KeyedRef]" = {}
+
+
+def _gone(ref: weakref.KeyedRef, live=_live) -> None:
+    if live.get(ref.key) is ref:
+        del live[ref.key]
 
 
 def _key(v):
@@ -66,17 +78,20 @@ class Node:
 
     __slots__ = ("__weakref__",)
     _fields: Tuple[str, ...] = ()
+    _values = False  # whether the fields hold values, keyed through _key
 
     def __new__(cls, *fields):
-        if len(fields) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes fields {cls._fields}, got {fields!r}")
-        key = (cls.__name__,) + tuple(map(_key, fields))
-        node = _live.get(key)
+        key = (cls, *map(_key, fields)) if cls._values else (cls, *fields)
+        ref = _live.get(key)
+        node = ref() if ref is not None else None
         if node is None:
+            # a live entry has the class's arity, so only a miss checks it
+            if len(fields) != len(cls._fields):
+                raise TypeError(f"{cls.__name__} takes fields {cls._fields}, got {fields!r}")
             node = object.__new__(cls)
             for name, value in zip(cls._fields, fields):
                 object.__setattr__(node, name, value)
-            _live[key] = node
+            _live[key] = weakref.KeyedRef(node, _gone, key)
         return node
 
     def __setattr__(self, name, value):
@@ -119,6 +134,7 @@ class ConstRef(Node):
     """A constant constraint with empty support."""
 
     __slots__ = _fields = ("value",)
+    _values = True
 
 
 CExpr = Union[Ref, DiagRef, ConstRef]
@@ -133,12 +149,14 @@ class Eventual(Node):
 
 class Level(Node):
     __slots__ = _fields = ("value",)
+    _values = True
 
 
 class Cut(Node):
     """A constraint threshold; ``raised`` marks one raised by the cut."""
 
     __slots__ = _fields = ("constraint", "name", "raised")
+    _values = True
 
 
 Threshold = Union[Eventual, Level, Cut]

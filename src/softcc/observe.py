@@ -193,9 +193,9 @@ def solve_bb(
 
     Every pass starts from one root store, in one session that keeps each
     pass's leaf memo, and so every store it reached, alive until the call
-    returns: later passes re-tell onto warm stores.  Each pass keeps a leaf
-    memo of its own, as the cut programs unfold one call to different
-    bodies.  ``_session`` hands on the session of an earlier exploration
+    returns: later passes re-tell onto warm stores.  Each pass keeps leaf
+    and unfold memos of its own, as the cut programs unfold one call to
+    different bodies.  ``_session`` hands on the session of an earlier exploration
     of the same program, as ``scc bb`` does.
     """
     if program.main is None:

@@ -1126,9 +1126,9 @@ def reference_moves(agent: Agent, store: Store, fresh: Dict[str, int], program: 
     raise EngineError(f"not an agent: {agent!r}")
 
 
-def assert_step_matches_reference(cfg, program, leaves):
-    """Compare step with the reference at cfg, without a leaf memo and with
-    ``leaves``, a memo as run_all keeps one."""
+def assert_step_matches_reference(cfg, program, memo):
+    """Compare step with the reference at cfg, without memos and with
+    ``memo``, a pair (leaf memo, unfold memo) as run_all keeps one."""
     moves, hangs = reference_moves(cfg.agent, cfg.store, dict(cfg.fresh), program)
     want = []
     for mv in moves:
@@ -1136,7 +1136,7 @@ def assert_step_matches_reference(cfg, program, leaves):
         target = Configuration(kind, mv.agent, mv.store, tuple(sorted(mv.fresh.items())))
         if target not in [t for _, t, _ in want]:
             want.append((mv.rule, target, mv.pruned))
-    for edges in (step(cfg, program), step(cfg, program, _leaves=leaves)):
+    for edges in (step(cfg, program), step(cfg, program, _memo=memo)):
         if want:
             assert [(e.rule, e.target, e.pruned) for e in edges] == want
             continue
@@ -1148,13 +1148,14 @@ def assert_step_matches_reference(cfg, program, leaves):
 def assert_walk_matches_reference(program, limits=RunLimits(max_steps=60)):
     """Compare step with the reference on every configuration reachable
     within the limits: the configurations iter_runs meets, each once.  One
-    leaf memo serves the whole walk, so leaves met again at a store are
-    looked up, as in run_all."""
+    leaf memo and one unfold memo serve the whole walk, so leaves met again
+    at a store, and calls and binders met again anywhere, are looked up, as
+    in run_all."""
     init = initial_configuration(program)
-    seen, todo, leaves = {init}, [(init, 0)], {}
+    seen, todo, memo = {init}, [(init, 0)], ({}, {})
     while todo:
         cfg, depth = todo.pop()
-        assert_step_matches_reference(cfg, program, leaves)
+        assert_step_matches_reference(cfg, program, memo)
         for e in step(cfg, program):
             nxt = e.target
             if nxt.kind == "running" and nxt not in seen and depth + 1 < limits.max_steps:
@@ -1234,6 +1235,14 @@ def test_step_walk_matches_reference_by_hand(semiring):
 def test_step_walk_matches_reference_on_generated_programs():
     for _, p in gen_programs(7, 40):
         assert_walk_matches_reference(p)
+
+
+def test_step_walk_matches_reference_on_cyclic_programs():
+    # recursive procs open an exists in their bodies, so run_all's unfold
+    # memo meets each call and binder again, at other stores and counters
+    for semiring in SEMIRINGS:
+        for _, p in gen_cyclic_programs(f"walk-{semiring}", 3, semiring):
+            assert_walk_matches_reference(p, RunLimits(max_steps=20))
 
 
 def test_step_walk_matches_reference_on_fixtures():

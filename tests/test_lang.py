@@ -1,5 +1,6 @@
 """Program text: parsing, validation, free variables, substitution, printing."""
 
+import gc
 import math
 import pathlib
 import random
@@ -27,6 +28,7 @@ from softcc import (
     pretty_program,
     substitute,
 )
+from softcc import lang
 from softcc.lang import Template, walk
 from softcc.observe import observe
 
@@ -161,6 +163,33 @@ def test_nodes_are_interned():
     assert Cut(c, None, True).raised and not Cut(c, None, False).raised
     with pytest.raises(AttributeError):
         a.left = Stop()
+
+
+def test_node_table_keeps_only_live_nodes():
+    live = lang._live
+    gc.collect()
+    before = len(live)
+    agent = Stop()
+    for i in range(2000):
+        agent = Par(Tell(Ref("c", (f"v{i}",)), Eventual(), Stop()), agent)
+    assert len(live) >= before + 3 * 2000
+    del agent
+    gc.collect()
+    assert len(live) == before
+    # a node rebuilt after its first copy died is interned again, and the
+    # dead copy's callback, run late, leaves the new entry alone
+    left, right = Stop(), Call("p", ("x",))
+    first = Par(left, right)
+    (ref,) = [r for r in live.values() if r() is first]
+    gone, key = ref.__callback__, ref.key
+    del first
+    assert ref() is None and key not in live
+    again = Par(left, right)
+    assert Par(left, right) is again
+    gone(ref)
+    assert live[key]() is again and Par(left, right) is again
+    del again
+    assert key not in live
 
 
 def test_error_position_is_per_parse():
@@ -325,11 +354,25 @@ def test_parse_error_position_is_exact():
             "semiring fuzzy;\ndomain {a};\nvar x;\nproc p() :: stop;\nconstraint p(x) { default = 1; }\n",
             "line 5, column 1: 'p' names both a constraint and a proc",
         ),
+        ("semiring 3;\n", "line 1, column 10: expected a semiring name"),
+        (
+            "semiring weighted;\ndomain {a};\nvar x;\nconstraint c(x) { (a) = zzz; }\n",
+            "line 4, column 25: expected a value, found 'zzz'",
+        ),
+        # an exponent with its sign is part of the number
+        (
+            "semiring weighted;\ndomain {a};\nvar x;\nconstraint c(x) { (a) = 2E+1 }\n",
+            "line 4, column 30: expected ';', found '}'",
+        ),
     ]
     for text, where in cases:
         with pytest.raises(ProgramError) as e:
             parse_program(text)
         assert where in str(e.value)
+    text = "semiring weighted;\ndomain {a, b};\nvar x;\nconstraint c(x) { (a) = 1e-3; (b) = 2E+1; }\n"
+    table = parse_program(text).templates["c"].table
+    assert table == {("a",): 0.001, ("b",): 20.0}
+    assert all(type(v) is float for v in table.values())
 
 
 # -- free variables ------------------------------------------------------

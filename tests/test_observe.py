@@ -289,6 +289,26 @@ def test_bb_on_failing_program_returns_zero():
     assert stats.iterations == 0
 
 
+def test_bb_unfolds_each_pass_of_its_own():
+    # the first pass unfolds p(x) uncut and finds lo; the bound hi, found
+    # by the second, raises the cut threshold inside p's body, so the
+    # third pass unfolds the same call to another body, whose tell of lo
+    # fails there and is pruned
+    extra = (
+        "constraint lo(x) { (a) = 0.2; (b) = 0.2; }\n"
+        "constraint hi(x) { (a) = 0.8; (b) = 0.6; }\n"
+        "constraint t(x) { (a) = 0.1; (b) = 0.1; }\n"
+        "proc p(x) :: tell(lo(x)) ->[t] stop;\n"
+    )
+    p = prog("ask(const(1)) -> p(x) + ask(const(1)) -> tell(hi(x)) -> stop", extra)
+    psi, stats = solve_bb(p)
+    assert psi.vars == ("x",)
+    assert [psi.eval({"x": a}) for a in ("a", "b")] == pytest.approx([0.8, 0.6])
+    assert stats == BBStats(iterations=2, runs_pruned=1, runs_explored=5)
+    want_psi, want = reference_bb(p, RunLimits())
+    assert stats == want and pointwise_eq(psi, want_psi)
+
+
 def reference_bb(program, limits):
     """Branch and bound by path enumeration: each pass walks the cut
     program's runs leftmost first up to the first success not below psi."""
