@@ -20,7 +20,6 @@ from .semiring import (
     ALL_SEMIRINGS,
     CarrierError,
     Semiring,
-    TOL,
     by_name,
 )
 from .constraints import (

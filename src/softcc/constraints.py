@@ -11,14 +11,15 @@ counts affordable.
 The algebra: ``tensor`` combines pointwise with x, ``oplus`` with +,
 ``project`` sums out eliminated variables, ``hide`` removes one variable,
 ``leqc`` is the induced constraint order, equality is ``canonical_key``
-equality (``pointwise_eq``), and ``entails`` asks whether a set of constraints
-forces another one.  ``combine_project`` combines a factor list and projects
-in one pass via variable elimination so the full joint table never needs to
-exist; the factors of each bucket join in factor order.  ``tensor`` joins
-the listed rows: by direct lookup when the second support lies inside the
-first, as every fold of a tell into a store factor does, and through
-buckets on the shared variables otherwise.  Every operation that walks the
-cells of a joint table does so through ``_cells``.
+equality (``pointwise_eq``; values are exact, so keys hold them as they
+are), and ``entails`` asks whether a set of constraints forces another one.
+``combine_project`` combines a factor list and projects in one pass via
+variable elimination so the full joint table never needs to exist; the
+factors of each bucket join in factor order.  ``tensor`` joins the listed
+rows: by direct lookup when the second support lies inside the first, as
+every fold of a tell into a store factor does, and through buckets on the
+shared variables otherwise.  Every operation that walks the cells of a
+joint table does so through ``_cells``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import itertools
 from collections import Counter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .semiring import Semiring, Value, quantize
+from .semiring import Semiring, Value
 
 Atom = Union[str, int]
 
@@ -165,27 +166,25 @@ class Constraint:
     def support(self) -> frozenset:
         """Variables the function really depends on; constant columns drop out.
 
-        Each variable takes one pass over the rows' grid values
-        (``quantize``, the points ``Semiring.eq`` compares), grouped by the
-        rest of their key, and stops at the first group whose values differ;
-        a group that lists fewer rows than the domain has atoms also meets
-        the default.
+        Each variable takes one pass over the rows, grouped by the rest of
+        their key, and stops at the first group whose values differ; a group
+        that lists fewer rows than the domain has atoms also meets the
+        default.
         """
         if self._supp is None:
             ndom = len(self.system.domain)
-            rows = [(key, quantize(val)) for key, val in self.table.items()]
+            rows = self.table.items()
             live = []
             for i, v in enumerate(self.vars):
-                seen = {}  # group -> its first grid value
+                seen = {}  # group -> its first value
                 for key, q in rows:
                     if seen.setdefault(key[:i] + key[i + 1 :], q) != q:
                         break
                 else:
                     if self.default is None or len(rows) == ndom * len(seen):
                         continue  # every group is complete
-                    qd = quantize(self.default)
-                    sizes = Counter(key[:i] + key[i + 1 :] for key, _ in rows)
-                    if all(q == qd or sizes[g] == ndom for g, q in seen.items()):
+                    sizes = Counter(key[:i] + key[i + 1 :] for key in self.table)
+                    if all(q == self.default or sizes[g] == ndom for g, q in seen.items()):
                         continue
                 live.append(v)
             self._supp = frozenset(live)
@@ -215,7 +214,7 @@ class Constraint:
     # -- canonical form and equality ----------------------------------
 
     def canonical_key(self) -> tuple:
-        """Hashable key identifying the function, values on the ``quantize`` grid.
+        """Hashable key identifying the function.
 
         Pointwise-equal constraints get the same key at every size: the
         pruned table in sorted-variable order, with the most frequent
@@ -231,16 +230,16 @@ class Constraint:
             system = c.system
             svars = tuple(sorted(c.vars))
             if svars == c.vars:
-                table = {key: quantize(val) for key, val in c.table.items()}
+                table = c.table
             else:
                 order = [c.vars.index(v) for v in svars]
-                table = {tuple([key[i] for i in order]): quantize(val) for key, val in c.table.items()}
+                table = {tuple([key[i] for i in order]): val for key, val in c.table.items()}
             counts = {}
             for v in table.values():
                 counts[v] = counts.get(v, 0) + 1
             unlisted = system.cells(len(svars)) - len(table)
             if unlisted:
-                stored = quantize(c.default)
+                stored = c.default
                 counts[stored] = counts.get(stored, 0) + unlisted
             if len(counts) == 1:
                 (default,) = counts
@@ -251,6 +250,7 @@ class Constraint:
                     if n > top or n == top and v < default:
                         default, top = v, n
             if unlisted and default != stored:
+                table = dict(table)
                 for key in itertools.product(system.domain, repeat=len(svars)):
                     table.setdefault(key, stored)
             rows = [(k, v) for k, v in table.items() if v != default]
@@ -525,9 +525,9 @@ def leqc(c1: Constraint, c2: Constraint) -> bool:
 def pointwise_eq(c1: Constraint, c2: Constraint) -> bool:
     """Equality as functions of the full variable set: equal canonical keys.
 
-    ``Semiring.eq`` is equality of ``quantize`` grid points, an equivalence,
-    and ``canonical_key`` (support, pruning, default vote) reads the grid
-    values alone.  So two keys are equal exactly when each constraint lies
+    Every carrier is exact, so value equality is ``==``, and
+    ``canonical_key`` (support, pruning, default vote) reads the values
+    themselves.  So two keys are equal exactly when each constraint lies
     below the other, and given c1 below c2 the reverse check is the key test.
     """
     return c1.canonical_key() == c2.canonical_key()

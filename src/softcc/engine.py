@@ -335,8 +335,9 @@ def _leaf(agent: Agent, store: Store, program: Program, unfolded: Dict):
         c = program.resolve(agent.con)
         new = store.tell(c) if isinstance(agent, Tell) else store
         t = agent.threshold
-        if isinstance(t, Level):
-            failed = store.system.semiring.lt(new.blevel(), t.value)
+        if isinstance(t, Level):  # a level built through the library may hold a float
+            s = store.system.semiring
+            failed = s.lt(new.blevel(), s.check(t.value))
         else:
             failed = isinstance(t, Cut) and new.below_cut(program.threshold_constraint(t))
         if failed:

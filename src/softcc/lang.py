@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from . import constraints as C
 from .constraints import Constraint, ConstraintSystem
-from .semiring import Semiring, Value
+from .semiring import _EXACT, Semiring, Value
 
 
 class ProgramError(ValueError):
@@ -63,10 +64,11 @@ def _gone(ref: weakref.KeyedRef, live=_live) -> None:
 
 
 def _key(v):
-    # a value keeps its type, so true and 1 stay apart; a constraint keeps
-    # its domain, as the same table over another domain is another function
-    if isinstance(v, bool):
-        return ("bool", v)
+    # a value keeps its type, so true, 1 and the decimal 1 stay apart; a
+    # constraint keeps its domain, as the same table over another domain is
+    # another function
+    if isinstance(v, (bool, Decimal)):
+        return (type(v), v)
     if isinstance(v, Constraint):
         return (v.system.domain, v)
     return v
@@ -348,13 +350,18 @@ def substitute(agent: Agent, mapping: Dict[str, str]) -> Agent:
 
 
 def format_value(v: Value) -> str:
+    """A value as program text: a number prints as the float literal that
+    reads as the same value where there is one, and exactly otherwise, so
+    no two values print alike."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if v == float("inf"):
+    d = v if isinstance(v, Decimal) else Decimal(repr(v))
+    if d.is_infinite():
         return "inf"
-    if float(v).is_integer():
-        return str(int(v))
-    return repr(float(v))
+    if d == d.to_integral_value():
+        return format(d, ".0f")
+    f = repr(float(d))
+    return f if Decimal(f) == d else str(d.normalize(_EXACT)).lower()
 
 
 def _pp_cexpr(e: CExpr) -> str:

@@ -17,7 +17,6 @@ branch and bound.
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -232,11 +231,12 @@ def solve_bb(
 
 
 def value_json(v):
+    """A value as a JSON number where one reads back as the value, and as
+    its program text otherwise ("inf" included)."""
     if isinstance(v, bool):
         return v
-    if isinstance(v, float) and math.isinf(v):
-        return "inf"
-    return v
+    text = format_value(v)
+    return float(v) if text != "inf" and format_value(float(v)) == text else text
 
 
 def constraint_json(c: Constraint) -> dict:

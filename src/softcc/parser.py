@@ -497,15 +497,15 @@ def _validate(p: Program, where: Dict[object, Tuple[int, int]]) -> Program:
 
     def fix_cexpr(e):
         if isinstance(e, ConstRef):
-            located(where.get(e), p.semiring.check, e.value)
+            return ConstRef(located(where.get(e), p.semiring.check, e.value))
         if isinstance(e, Ref):
             return Ref(e.name, located(where.get(e), p.ref_args, e))
         return e
 
     def fix_threshold(t, pos):
         if isinstance(t, Level):
-            located(pos, p.semiring.check, t.value)
-        elif isinstance(t, Cut) and t.constraint is None:
+            return Level(located(pos, p.semiring.check, t.value))
+        if isinstance(t, Cut) and t.constraint is None:
             tpl = p.templates.get(t.name)
             if tpl is None:
                 raise ProgramError(f"unknown cut constraint {t.name!r}", pos)

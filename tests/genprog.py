@@ -147,10 +147,12 @@ def gen_programs(seed, count, eventual_only=False, allow_hang=False):
 
 
 def exact_value(rng, semiring):
-    """A carrier value that x and + keep exact in floating point (fuzzy and
-    probabilistic values are multiples of 1/16, booleans even odds), so
+    """A carrier value: fuzzy and probabilistic values are multiples of
+    1/16, booleans even odds, weighted ones ``rand_value``'s costs.  Every
+    carrier is exact (probabilistic and weighted values are decimals), so
     every order of folding one multiset of tells reaches the same store and
-    the same key."""
+    the same key whatever the values; the multiples of 1/16 date from float
+    values and stay so that each seed draws the programs it always drew."""
     if semiring in ("fuzzy", "probabilistic"):
         return str(rng.randrange(1, 17) / 16)
     if semiring == "boolean":

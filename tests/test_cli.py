@@ -5,13 +5,16 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 
 import pytest
 
-from softcc import cli
+from softcc import PROBABILISTIC, WEIGHTED, cli, value_json
+from softcc.lang import format_value
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -97,6 +100,64 @@ def test_run_recursive_weighted_tell_reaches_the_step_limit(tmp_path):
     assert got.returncode == 4, got.stderr
     assert got.stdout.startswith("terminal: bound_exceeded")
     assert "Traceback" not in got.stderr
+
+
+def test_run_descending_probabilistic_store_reaches_the_step_limit(tmp_path, capsys):
+    # 0.9**n and 0.8**n fall at every tell, so no store repeats and the run
+    # is not a loop; rounded to a grid they met after 360 steps (exit 3)
+    text = (
+        "semiring probabilistic;\ndomain {a, b};\nvar x;\n"
+        "constraint c(x) { (a) = 0.9; (b) = 0.8; }\n"
+        "proc p(x) :: tell(c(x)) -> p(x);\nagent = p(x);\n"
+    )
+    code, out, err = run_main(capsys, "run", write(tmp_path, text), "--max-steps", "1000")
+    assert code == 4, err
+    assert out.startswith("terminal: bound_exceeded\nsteps: 1000\n")
+
+
+def test_no_value_prints_as_another(tmp_path, capsys):
+    # a cost past the largest float is not the zero cost inf, and a
+    # probability below the smallest float is not the zero probability 0
+    for semiring, first, second, shown in (
+        ("weighted", "1e308", "1e308", "2" + "0" * 308),
+        ("probabilistic", "1e-200", "3e-200", "3e-400"),
+    ):
+        text = (
+            f"semiring {semiring};\ndomain {{a, b}};\nvar x;\n"
+            f"agent = tell(const({first})) -> tell(const({second})) -> stop;\n"
+        )
+        path = write(tmp_path, text)
+        zero = "inf" if semiring == "weighted" else "0"
+        code, out, _ = run_main(capsys, "run", path)
+        assert code == 0 and f"store: (): ()={shown} default={zero}\n" in out
+        code, out, _ = run_main(capsys, "run", "--format", "json", path)
+        store = json.loads(out)["final_store"]
+        assert store["rows"] == [{"assignment": [], "value": shown}]
+        assert store["default"] == ("inf" if semiring == "weighted" else 0.0)
+
+
+def test_values_print_exactly():
+    # text reads back as the value itself; JSON writes a number where its
+    # float reads back as the value, and the text otherwise
+    rng = random.Random(9)
+    numbers = texts = 0
+    for s in (PROBABILISTIC, WEIGHTED):
+        for _ in range(2000):
+            v = s.sample(rng)
+            for _ in range(rng.randrange(4)):
+                v = s.combine(v, s.sample(rng))
+            text, js = format_value(v), value_json(v)
+            if text == "inf":
+                assert v == s.zero and js == "inf"
+                continue
+            assert Decimal(text) == v, (v, text)
+            if isinstance(js, float):
+                assert Decimal(repr(js)) == v and float(text) == js
+                numbers += 1
+            else:
+                assert js == text
+                texts += 1
+    assert numbers > 500 and texts > 500
 
 
 def test_too_deep_program_is_a_clean_error(tmp_path):

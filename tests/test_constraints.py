@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -177,9 +178,13 @@ def test_canonical_key_identifies_functions():
         default=0.0,
     )
     assert padded == sparse
-    # tolerance-close values collapse
+    # values a hair apart are other functions; one value reached two ways is one
     wiggled = Constraint(sys2, ("x", "y"), {("a", "a"): 0.8 + 1e-12}, default=0.0)
-    assert wiggled == sparse
+    assert wiggled != sparse
+    sysp = ConstraintSystem(PROBABILISTIC, ("a", "b"))
+    via = tensor(Constraint(sysp, ("x",), {("a",): 0.1}, default=0.0), sysp.constant(0.3))
+    direct = Constraint(sysp, ("x",), {("a",): 0.03}, default=0.0)  # 0.030000000000000002 in floats
+    assert via == direct and hash(via) == hash(direct)
     other = Constraint(sys2, ("x", "y"), {("a", "a"): 0.7}, default=0.0)
     assert other != sparse
 
@@ -313,24 +318,28 @@ def test_canonical_key_exact_beyond_4096_cells():
 
 
 def test_key_equality_matches_pointwise_eq_across_a_rounding_boundary():
-    # a hair apart across a grid boundary, and a hair apart within one cell:
-    # keys, ==, hashing and pointwise_eq must all give the same answer
-    sys2 = crossword_system()
-    for lo, hi, same in (
-        (0.1234567894999, 0.1234567895001, False),
-        (0.1234567894001, 0.1234567894999, True),
-        (0.5, 0.5 + 1e-12, True),
+    # a hair apart across what was a 1e-9 grid boundary, a hair apart within
+    # one grid cell, and one value reached by a product or sum that floats
+    # round: keys, ==, hashing and pointwise_eq must all give the same answer
+    P, W = PROBABILISTIC, WEIGHTED
+    for s, lo, hi, same in (
+        (FUZZY, 0.1234567894999, 0.1234567895001, False),
+        (FUZZY, 0.1234567894001, 0.1234567894999, False),
+        (FUZZY, 0.5, 0.5 + 1e-12, False),
+        (P, P.combine(P.check(0.1), P.check(0.3)), P.check(0.03), True),
+        (W, W.combine(W.check(0.1), W.check(0.2)), W.check(0.3), True),
     ):
+        sys2 = ConstraintSystem(s, ("a", "b"))
         for default in (None, 0.3):
             rows = {("b",): 0.3} if default is None else {}
             c1 = Constraint(sys2, ("x",), {("a",): lo, **rows}, default)
             c2 = Constraint(sys2, ("x",), {("a",): hi, **rows}, default)
-            assert FUZZY.eq(lo, hi) == same
+            assert s.eq(lo, hi) == same
             assert pointwise_eq(c1, c2) == same
             assert (c1.canonical_key() == c2.canonical_key()) == same
             assert (c1 == c2) == same
             assert len({c1, c2}) == (1 if same else 2)
-    # costs too large to divide by the grid spacing stand for themselves
+    # large costs stand for themselves
     big = ConstraintSystem(WEIGHTED, ("a", "b"))
     c1 = Constraint(big, ("x",), {("a",): 1e300, ("b",): math.inf})
     c2 = Constraint(big, ("x",), {("a",): 1e300, ("b",): 2e300})
@@ -455,12 +464,22 @@ def ref_below_cut(store, phi):
 
 
 def _nudged(c, rng):
-    """c with every float scaled by 1 +- 1e-13, kept inside the carrier."""
+    """c with every value moved a hair in its carrier's own arithmetic, kept
+    inside the carrier: fuzzy floats and probabilistic decimals scale by
+    1 +- 1e-13, weighted decimals shift by +- 1e-13."""
+    s = c.system.semiring
+
     def nudge(v):
         if isinstance(v, bool):
             return v
-        w = v * rng.choice((1 + 1e-13, 1 - 1e-13))
-        return v * (1 - 1e-13) if w > 1 and c.system.semiring.kind != "weighted" else w
+        if s.kind == "fuzzy":
+            w = v * rng.choice((1 + 1e-13, 1 - 1e-13))
+            return v * (1 - 1e-13) if w > 1 else w
+        if s.kind == "probabilistic":
+            w = s.combine(v, rng.choice((Decimal("1.0000000000001"), Decimal("0.9999999999999"))))
+            return s.combine(v, Decimal("0.9999999999999")) if w > 1 else w
+        w = s.combine(v, rng.choice((Decimal("1e-13"), Decimal("-1e-13"))))
+        return s.combine(v, Decimal("1e-13")) if w < 0 else w
 
     default = None if c.default is None else nudge(c.default)
     return Constraint(c.system, c.vars, {k: nudge(v) for k, v in c.table.items()}, default)

@@ -10,6 +10,7 @@ import time
 import weakref
 from collections import Counter
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Dict, List, Optional
 
 import pytest
@@ -51,6 +52,7 @@ from softcc.lang import (
     Agent,
     Ask,
     Call,
+    ConstRef,
     Cut,
     Eventual,
     Exists,
@@ -115,6 +117,16 @@ def test_valued_tell_fails_below_level():
     # the failing tell leaves no trace in the store
     assert rec.store.blevel() == pytest.approx(1.0)
     assert not [r for r in res.records if r.kind == "success"]
+
+
+def test_hand_built_level_reads_as_a_parsed_one():
+    # the parser turns ->^0.2 into the decimal 0.2; a Level built through
+    # the library holds the float 0.2, a hair above it, and must not fail
+    p = prog("tell(const(0.2)) ->^0.2 stop", header="semiring probabilistic;\ndomain {a, b};\nvar x;\n")
+    assert rules_of(single(run_all(p), "success")) == ["valued-tell", "stop"]
+    p.main = Tell(ConstRef(0.2), Level(0.2), Stop())
+    assert isinstance(p.main.threshold.value, float)
+    assert rules_of(single(run_all(p), "success")) == ["valued-tell", "stop"]
 
 
 def test_valued_ask_fires_when_entailed():
@@ -856,6 +868,62 @@ def test_cyclic_programs_agree_with_path_enumeration():
                 assert pointwise_eq(observables_of(p, res).dk_solution, dk), (text, n)
                 kinds.update(r.kind for r in listed)
     assert kinds == {"success", "fail", "hang", "divergent", "bound_exceeded"}
+
+
+def exact_slice_text(rng, semiring):
+    """``( chain of 3 || chain of 2 )`` of ``tell(const(v))``: probabilistic
+    values are odd multiples of 0.05, so five factors land on a half-way
+    point of the old 1e-9 grid, and weighted values are two-decimal costs."""
+
+    def value():
+        if semiring == "probabilistic":
+            return f"{rng.randrange(1, 20, 2) * 5 / 100:.2f}"
+        return f"{rng.randrange(0, 1000) / 100:.2f}"
+
+    def chain(n):
+        return " -> ".join(f"tell(const({value()}))" for _ in range(n)) + " -> stop"
+
+    return (
+        f"semiring {semiring};\ndomain {{a, b}};\nvar x;\n"
+        f"agent = ( {chain(3)} || {chain(2)} );\n"
+    )
+
+
+def test_run_classes_agree_on_two_decimal_values():
+    # every interleaving folds one multiset of exact values, so the merged
+    # exploration and path enumeration see one store; floats gave two
+    # orders of one product different bits, and run_all merged what
+    # iter_runs kept apart
+    rng = random.Random("exact-slice")
+    for i in range(300):
+        text = exact_slice_text(rng, ("probabilistic", "weighted")[i % 2])
+        p = parse_program(text)
+        assert run_classes(run_all(p).records) == run_classes(iter_runs(p)), text
+    p = parse_program(
+        "semiring probabilistic;\ndomain {a, b};\nvar x;\n"
+        "agent = ( tell(const(0.15)) -> tell(const(0.15)) -> tell(const(0.15)) -> stop"
+        " || tell(const(0.35)) -> tell(const(0.55)) -> stop );\n"
+    )
+    (rec,) = run_all(p).records
+    assert rec.kind == "success" and rec.paths == 25
+    assert run_classes(iter_runs(p)) == {("success", rec.store.key(), ()): 25}
+    assert rec.store.blevel() == Decimal("0.0006496875")
+
+
+def test_descending_probabilistic_store_is_not_a_loop():
+    # 0.9**n and 0.8**n fall forever; on the old grid they rounded to one
+    # point after 360 steps and the run was reported divergent there
+    p = prog(
+        "p(x)",
+        "constraint c(x) { (a) = 0.9; (b) = 0.8; }\nproc p(x) :: tell(c(x)) -> p(x);\n",
+        "semiring probabilistic;\ndomain {a, b};\nvar x;\n",
+    )
+    limits = RunLimits(max_steps=1000)
+    one = run_one(p, "leftmost", limits=limits)
+    assert one.kind == "bound_exceeded" and one.steps == 1000
+    (rec,) = run_all(p, limits).records
+    assert rec.kind == "bound_exceeded" and rec.paths == 1
+    assert one.trace[-1][1].store.blevel() == Decimal(f"{9 ** 500}e-500")  # 500 tells
 
 
 # -- scheduling policies -------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -16,14 +17,11 @@ from softcc import (
     PROBABILISTIC,
     Problem,
     ProgramError,
-    TOL,
     WEIGHTED,
     by_name,
     consistent,
     parse_program,
 )
-from softcc.semiring import quantize
-
 N = 1200
 
 
@@ -76,8 +74,9 @@ def test_idempotent_combine_flag():
         for a in _samples(s, rng, 300):
             assert s.eq(s.combine(a, a), a)
     # and a witness that the others are genuinely not idempotent
-    assert not PROBABILISTIC.eq(PROBABILISTIC.combine(0.5, 0.5), 0.5)
-    assert not WEIGHTED.eq(WEIGHTED.combine(1.0, 1.0), 1.0)
+    half, cost = PROBABILISTIC.check(0.5), WEIGHTED.check(1.0)
+    assert not PROBABILISTIC.eq(PROBABILISTIC.combine(half, half), half)
+    assert not WEIGHTED.eq(WEIGHTED.combine(cost, cost), cost)
 
 
 def test_order_laws():
@@ -110,40 +109,51 @@ def test_order_laws():
 
 
 def test_example_values():
+    P, W = PROBABILISTIC.check, WEIGHTED.check
     assert FUZZY.combine(0.9, 0.8) == pytest.approx(0.8)
-    assert PROBABILISTIC.combine(0.5, 0.5) == pytest.approx(0.25)
-    assert WEIGHTED.combine(2.0, 3.5) == pytest.approx(5.5)
-    assert WEIGHTED.sum(2.0, 3.5) == pytest.approx(2.0)  # lower cost preferred
+    assert PROBABILISTIC.combine(P(0.5), P(0.5)) == P(0.25)
+    assert WEIGHTED.combine(W(2.0), W(3.5)) == W(5.5)
+    assert WEIGHTED.sum(W(2.0), W(3.5)) == W(2.0)  # lower cost preferred
     assert BOOLEAN.sum(False, True) is True
     assert BOOLEAN.combine(True, False) is False
     # weighted constants: one is the no-cost element, zero the impossible one
-    assert WEIGHTED.one == 0.0 and WEIGHTED.zero == math.inf
-    assert WEIGHTED.leq(math.inf, 0.0) and not WEIGHTED.leq(0.0, math.inf)
+    assert WEIGHTED.one == W(0.0) and WEIGHTED.zero == W(math.inf)
+    assert WEIGHTED.leq(W(math.inf), W(0.0)) and not WEIGHTED.leq(W(0.0), W(math.inf))
 
 
-def test_eq_tolerance():
-    assert FUZZY.eq(0.5, 0.5 + TOL / 2)
+def test_eq_is_exact():
+    # every carrier is exact: values a hair apart differ, and the decimal
+    # carriers neither round a sum or product nor lose a float literal
+    P, W = PROBABILISTIC.check, WEIGHTED.check
+    assert not FUZZY.eq(0.5, 0.5 + 5e-10)
     assert not FUZZY.eq(0.5, 0.5 + 1e-6)
-    assert WEIGHTED.eq(math.inf, math.inf)
-    assert not WEIGHTED.eq(math.inf, 1e12)
+    assert WEIGHTED.eq(W(math.inf), WEIGHTED.zero)
+    assert not WEIGHTED.eq(WEIGHTED.zero, W(1e12))
     # boolean equality is exact, no coercion
     assert BOOLEAN.eq(True, True) and not BOOLEAN.eq(True, False)
+    assert WEIGHTED.eq(WEIGHTED.combine(W(0.1), W(0.2)), W(0.3))  # 0.30000000000000004 in floats
+    assert PROBABILISTIC.eq(PROBABILISTIC.combine(P(0.1), P(0.3)), P(0.03))  # 0.030000000000000002
+    assert not PROBABILISTIC.eq(P(0.5), P(0.5 + 5e-10))
+    assert P(0.15) == Decimal("0.15") and W(3) == Decimal(3) and W(math.inf).is_infinite()
 
 
-def test_eq_is_grid_equality_at_every_magnitude():
-    # past about 1e7, a / TOL rounds off more than the grid spacing, so
-    # floats more than 2 TOL apart can share a grid point; eq must say so,
-    # as support and canonical keys read the grid points themselves
+def test_eq_is_exact_at_every_magnitude():
+    # the float grid this replaced merged values up to 2e-9 apart, and at
+    # large magnitudes even more; now two checked floats are equal exactly
+    # when the floats are, and a cost added to a large one is not lost
+    W = WEIGHTED.check
     a, b = 100000000.00000001, 100000000.00000003  # adjacent floats, 1.5e-8 apart
-    assert quantize(a) == quantize(b) and WEIGHTED.eq(a, b)
+    assert W(a) != W(b) and not WEIGHTED.eq(W(a), W(b))
     rng = random.Random(5)
     for _ in range(20000):
         a = rng.choice((rng.uniform(0, 10), rng.uniform(1e6, 1e12), 10 ** rng.uniform(12, 300)))
-        b = a + rng.uniform(-3, 3) * TOL if rng.random() < 0.3 else a
+        b = a + rng.uniform(-3, 3) * 1e-9 if rng.random() < 0.3 else a
         for _ in range(rng.randrange(40)):
             b = math.nextafter(b, rng.choice((0.0, math.inf)))
         for x, y in ((a, b), (b, a), (a, math.inf), (math.inf, a)):
-            assert WEIGHTED.eq(x, y) == (quantize(x) == quantize(y)), (x, y)
+            assert WEIGHTED.eq(W(x), W(y)) == (x == y), (x, y)
+        if b != math.inf:
+            assert WEIGHTED.combine(W(b), W(1e-9)) != W(b)
 
 
 def test_carrier_validation():
