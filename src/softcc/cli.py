@@ -140,7 +140,8 @@ def cmd_solve(args) -> int:
                 else "(" + ",".join(str(a) for a in combo) + ")"
             )
             cells.append(f"{key}={format_value(v)}")
-        line = f"{','.join(vars_)}: " + " ".join(cells) + f" ; blevel={format_value(bl)}"
+        head = ",".join(vars_) if vars_ else "()"  # as constraint_text heads it
+        line = f"{head}: " + " ".join(cells) + f" ; blevel={format_value(bl)}"
     else:
         line = constraint_text(sol) + f" ; blevel={format_value(bl)}"
     _emit(args, doc, [line])

@@ -24,6 +24,7 @@ built-ins diag(x, y) and const(VALUE).
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .constraints import _row_key
@@ -77,6 +78,8 @@ class Token(NamedTuple):
     @property
     def shown(self) -> str:
         """The token as a ``found …`` message names it."""
+        if self.kind == "FLOAT":
+            return repr(float(self.value))
         return "end of input" if self.kind == "EOF" else repr(self.value)
 
 
@@ -130,11 +133,10 @@ def tokenize(text: str) -> List[Token]:
                     while j < n and text[j].isdecimal():
                         j += 1
             lit = text[i:j]
-            if isfloat:
-                f = float(lit)
-                if math.isinf(f):  # a finite literal past the largest float
+            if isfloat:  # read exactly; Semiring.check makes a fuzzy value a float
+                if math.isinf(float(lit)):  # a finite literal past the largest float
                     raise ParseError(f"number {lit} does not fit a float", (start_line, start_col))
-                toks.append(Token("FLOAT", f, start_line, start_col))
+                toks.append(Token("FLOAT", Decimal(lit), start_line, start_col))
             else:
                 try:
                     toks.append(Token("INT", int(lit), start_line, start_col))
@@ -576,7 +578,7 @@ def parse_program(text: str) -> Program:
 def pretty_program(p: Program) -> str:
     """Canonical text for a program; parsing it back gives an equal program."""
     out = [f"semiring {p.semiring.kind};"]
-    out.append("domain {" + ", ".join(format_value(a) if isinstance(a, bool) else str(a) for a in p.domain) + "};")
+    out.append("domain {" + ", ".join(str(a) for a in p.domain) + "};")
     out.append("var " + ", ".join(p.variables) + ";")
     for tpl in p.templates.values():
         head = f"constraint {tpl.name}(" + ", ".join(tpl.params) + ") {"

@@ -136,6 +136,25 @@ def test_no_value_prints_as_another(tmp_path, capsys):
         assert store["default"] == ("inf" if semiring == "weighted" else 0.0)
 
 
+def test_number_literals_are_read_exactly(tmp_path, capsys):
+    # a literal is not rounded to a float on its way in: 1e-400 is not the
+    # zero probability, and a level a hair above 0.5 is not 0.5
+    head = "semiring probabilistic;\ndomain {a};\nvar x;\n"
+    for agent in (
+        "tell(const(1e-400)) ->^1e-399 stop",
+        "tell(const(0.5)) ->^0.5000000000000000001 stop",
+    ):
+        code, out, err = run_main(capsys, "run", write(tmp_path, f"{head}agent = {agent};\n"))
+        assert code == 2 and out.startswith("terminal: fail\n"), (agent, out, err)
+    path = write(tmp_path, f"{head}agent = tell(const(0.1000000000000000000001)) -> stop;\n")
+    code, out, _ = run_main(capsys, "run", path)
+    assert code == 0 and "store: (): ()=0.1000000000000000000001\n" in out
+    code, out, _ = run_main(capsys, "run", "--format", "json", path)
+    assert json.loads(out)["final_store"]["rows"] == [
+        {"assignment": [], "value": "0.1000000000000000000001"}
+    ]
+
+
 def test_values_print_exactly():
     # text reads back as the value itself; JSON writes a number where its
     # float reads back as the value, and the text otherwise
@@ -258,6 +277,15 @@ def test_solve_json(capsys):
     assert doc["blevel"] == 0.8
     rows = {tuple(r["assignment"]): r["value"] for r in doc["solution"]["rows"]}
     assert rows[("a",)] == 0.8
+
+
+def test_solve_empty_interest_heads_its_line_as_a_constraint_does(tmp_path, capsys):
+    text = (
+        "semiring fuzzy;\ndomain {a, b};\nvar x;\n"
+        "constraint c(x) { (a) = 0.5; (b) = 0.2; }\ninterest {};\n"
+    )
+    code, out, err = run_main(capsys, "solve", write(tmp_path, text))
+    assert (code, out, err) == (0, "(): ()=0.5 ; blevel=0.5\n", "")
 
 
 def test_solve_needs_interest(tmp_path, capsys):

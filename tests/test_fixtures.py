@@ -1,5 +1,6 @@
-"""The shipped example programs: file sync, documented behaviors."""
+"""The shipped example programs: their tables, documented behaviors."""
 
+import itertools
 import math
 import pathlib
 
@@ -19,7 +20,6 @@ from softcc import (
     solve,
     solve_bb,
 )
-from softcc.fixtures import FILES, write_all
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -28,12 +28,60 @@ def load(name):
     return parse_program((FIXTURES / name).read_text())
 
 
-def test_shipped_files_match_generators(tmp_path):
-    regenerated = {p.name: p.read_text() for p in write_all(tmp_path)}
-    shipped = {p.name: p.read_text() for p in FIXTURES.glob("*.scc")}
-    assert sorted(shipped) == sorted(FILES)
-    for name, text in regenerated.items():
-        assert shipped[name] == text, f"{name} drifted from its generator"
+def test_shipped_fixtures_are_the_seven_files():
+    assert sorted(p.name for p in FIXTURES.glob("*.scc")) == [
+        "bad_dup_proc.scc",
+        "dominated_choice.scc",
+        "example5_cpp.scc",
+        "example5_cprime.scc",
+        "fig1.scc",
+        "network.scc",
+        "network_weighted.scc",
+    ]
+
+
+# The tabulated constraints and the formulas they were written from.  Each
+# formula takes the semiring and one row, and uses the float expression
+# the table was written with, so a cell such as 0.10000000000000009 must
+# match exactly.
+
+
+def closeness(k):
+    return lambda s, i, j: 1.0 / (1.0 + k * abs(i - j))
+
+
+def moves(cost):
+    """A row over {go, idle} is worth cost(its idle slots); any other row is the zero."""
+    return lambda s, *row: cost(row.count("idle")) if set(row) <= {"go", "idle"} else s.zero
+
+
+def network_tables(cost):
+    tables = {name: moves(cost) for name in ("c1", "c2", "c3", "c4", "c5", "c6", "c7", "c8")}
+    return {**tables, "is_true": lambda s, f: s.one if f == "true" else s.zero}
+
+
+TABLES = {
+    "example5_cprime.scc": {"c": closeness(1), "bound10": lambda s, x: 1 if x <= 10 else 0},
+    "example5_cpp.scc": {"c": closeness(1), "steep": closeness(2)},
+    "network.scc": network_tables(lambda idles: 1.0 - 0.3 * idles),
+    "network_weighted.scc": network_tables(lambda idles: idles),
+}
+
+
+def test_fixture_tables_equal_their_formulas():
+    for fixture, formulas in TABLES.items():
+        p = load(fixture)
+        assert sorted(p.templates) == sorted(formulas), fixture
+        s = p.semiring
+        for name, formula in formulas.items():
+            params = p.templates[name].params
+            con = p.resolve(Ref(name, None))
+            wrong = []
+            for row in itertools.product(p.domain, repeat=len(params)):
+                got, want = con.eval(dict(zip(params, row))), s.check(formula(s, *row))
+                if got != want or type(got) is not type(want):
+                    wrong.append((row, got, want))
+            assert not wrong, (fixture, name, wrong[:3])
 
 
 def test_fig1_problem():

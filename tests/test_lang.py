@@ -4,6 +4,7 @@ import gc
 import math
 import pathlib
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -364,6 +365,11 @@ def test_parse_error_position_is_exact():
             "semiring weighted;\ndomain {a};\nvar x;\nconstraint c(x) { (a) = 2E+1 }\n",
             "line 4, column 30: expected ';', found '}'",
         ),
+        # a misplaced number is named by the float it reads as
+        (
+            "semiring fuzzy;\ndomain {a};\nvar x;\nagent = tell(const(0.5)) 2E+1;\n",
+            "line 4, column 26: expected '->', found 20.0",
+        ),
     ]
     for text, where in cases:
         with pytest.raises(ProgramError) as e:
@@ -371,8 +377,8 @@ def test_parse_error_position_is_exact():
         assert where in str(e.value)
     text = "semiring weighted;\ndomain {a, b};\nvar x;\nconstraint c(x) { (a) = 1e-3; (b) = 2E+1; }\n"
     table = parse_program(text).templates["c"].table
-    assert table == {("a",): 0.001, ("b",): 20.0}
-    assert all(type(v) is float for v in table.values())
+    assert table == {("a",): Decimal("0.001"), ("b",): Decimal("20")}
+    assert all(type(v) is Decimal for v in table.values())
 
 
 # -- free variables ------------------------------------------------------
