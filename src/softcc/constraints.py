@@ -13,13 +13,14 @@ The algebra: ``tensor`` combines pointwise with x, ``oplus`` with +,
 ``leqc`` is the induced constraint order, equality is ``canonical_key``
 equality (``pointwise_eq``; values are exact, so keys hold them as they
 are), and ``entails`` asks whether a set of constraints forces another one.
-``combine_project`` combines a factor list and projects in one pass via
-variable elimination so the full joint table never needs to exist; the
-factors of each bucket join in factor order.  ``tensor`` joins the listed
+The order compares listed rows with the least value over their extensions,
+so it answers at any width.  ``combine_project`` combines a factor list and
+projects in one pass via variable elimination so the full joint table never
+needs to exist; the factors of each bucket join in factor order.  ``tensor`` joins the listed
 rows: by direct lookup when the second support lies inside the first, as
 every fold of a tell into a store factor does, and through buckets on the
 shared variables otherwise.  Every operation that walks the cells of a
-joint table does so through ``_cells``.
+joint table does so through ``_cells``; the order walks none.
 """
 
 from __future__ import annotations
@@ -461,65 +462,50 @@ def hide(c: Constraint, x: str) -> Constraint:
     return project(c, [v for v in c.vars if v != x])
 
 
-def _sparse_leq(c1: Constraint, c2: Constraint):
-    """Row-wise order check for variable sets too wide to enumerate.
+def leqc(c1: Constraint, c2: Constraint) -> bool:
+    """The constraint order: c1 below c2 iff c1 + c2 = c2 pointwise.
 
-    Applies when everything unlisted in c1 is the zero: the order can
-    only break at a listed row of c1, so those rows are checked against
-    c2 directly.  Returns None when the shapes do not allow a row-wise
-    answer and the caller should give up instead.
+    Past their shared variables, c1 and c2 extend each shared key
+    independently, so c1 lies below c2 iff every value c1 takes at a key
+    lies below the least value c2 takes over that key's extensions.  The
+    least value comes from c2's listed rows at the key, and from its
+    default when they leave an extension unlisted.  c1's listed rows are
+    compared one by one; its default, unless it is the zero, at each key
+    where c1 leaves a cell unlisted.  Keys that c2 does not list are
+    counted, not enumerated, so no width is too large.
     """
     system = c1.system
-    s = system.semiring
-    if not _sparse_ok(c1):
-        return None
-    pos1 = {v: i for i, v in enumerate(c1.vars)}
-    shared = [(pos1[v], j) for j, v in enumerate(c2.vars) if v in pos1]
-    extra = [v for v in c2.vars if v not in pos1]
-    if c2.default is not None and s.eq(c2.default, s.zero):
-        # c2 vanishes off its listed rows: a nonzero row of c1 whose
-        # extensions are not all covered by rows of c2 meets a zero
-        if len(c1.table) * max(len(c2.table), 1) > MAX_CELLS:
-            return None
-        slots = system.cells(len(extra))
-        for key1, val1 in c1.table.items():
-            if s.eq(val1, s.zero):
-                continue
-            covered = 0
-            for key2, val2 in c2.table.items():
-                if any(key1[i] != key2[j] for i, j in shared):
-                    continue
-                covered += 1
-                if not s.leq(val1, val2):
-                    return False
-            if covered < slots:
-                return False
-        return True
-    # otherwise c2 must dominate every extension of every nonzero row
-    if system.cells(len(extra)) * max(len(c1.table), 1) > MAX_CELLS:
-        return None
-    for key1, val1 in c1.table.items():
-        if s.eq(val1, s.zero):
-            continue
-        a = dict(zip(c1.vars, key1))
-        for ext in itertools.product(system.domain, repeat=len(extra)):
-            a.update(zip(extra, ext))
-            if not s.leq(val1, c2.eval(a)):
-                return False
-    return True
-
-
-def leqc(c1: Constraint, c2: Constraint) -> bool:
-    """The constraint order: c1 below c2 iff c1 + c2 = c2 pointwise."""
-    system = c1.system
-    union = _union_vars(c1, c2)
-    if system.cells(len(union)) > MAX_CELLS:
-        got = _sparse_leq(c1, c2)
-        if got is None:
-            raise TooLargeError("order comparison too large to enumerate")
-        return got
     leq = system.semiring.leq
-    return all(leq(v1, v2) for _, (v1, v2) in _cells((c1, c2), union, "order comparison"))
+    pos2 = {v: j for j, v in enumerate(c2.vars)}
+    i1 = [i for i, v in enumerate(c1.vars) if v in pos2]
+    i2 = [pos2[c1.vars[i]] for i in i1]
+    least = {}
+    for key, val in c2.table.items():
+        k = tuple([key[j] for j in i2])
+        if k not in least or leq(val, least[k]):
+            least[k] = val
+    d2 = c2.default
+    if d2 is not None:
+        ext2 = system.cells(len(c2.vars) - len(i2))
+        rows2 = Counter(tuple([key[j] for j in i2]) for key in c2.table)
+        for k, n in rows2.items():
+            if n < ext2 and leq(d2, least[k]):
+                least[k] = d2
+    # a key that c2 does not list takes its default (a dense c2 lists every key)
+    for key, val in c1.table.items():
+        if not leq(val, least.get(tuple([key[i] for i in i1]), d2)):
+            return False
+    d1 = c1.default
+    if d1 is None or d1 == system.semiring.zero:
+        return True
+    ext1 = system.cells(len(c1.vars) - len(i1))
+    rows1 = Counter(tuple([key[i] for i in i1]) for key in c1.table)
+    if any(rows1[k] < ext1 and not leq(d1, m) for k, m in least.items()):
+        return False
+    # the keys c2 does not list: does c1 leave a cell unlisted at one of them?
+    unlisted = system.cells(len(i1)) - len(least)
+    full = sum(1 for k, n in rows1.items() if n == ext1 and k not in least)
+    return full == unlisted or leq(d1, d2)
 
 
 def pointwise_eq(c1: Constraint, c2: Constraint) -> bool:

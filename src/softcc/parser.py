@@ -67,7 +67,7 @@ class ParseError(ProgramError):
 
 class Token(NamedTuple):
     kind: str  # IDENT, INT, FLOAT, or the punctuation itself
-    value: object
+    value: object  # a FLOAT's is its literal text
     line: int
     col: int
 
@@ -77,9 +77,9 @@ class Token(NamedTuple):
 
     @property
     def shown(self) -> str:
-        """The token as a ``found …`` message names it."""
+        """The token as a ``found …`` message names it; a number as written."""
         if self.kind == "FLOAT":
-            return repr(float(self.value))
+            return self.value
         return "end of input" if self.kind == "EOF" else repr(self.value)
 
 
@@ -133,10 +133,10 @@ def tokenize(text: str) -> List[Token]:
                     while j < n and text[j].isdecimal():
                         j += 1
             lit = text[i:j]
-            if isfloat:  # read exactly; Semiring.check makes a fuzzy value a float
+            if isfloat:  # kept as written; value() reads it exactly
                 if math.isinf(float(lit)):  # a finite literal past the largest float
                     raise ParseError(f"number {lit} does not fit a float", (start_line, start_col))
-                toks.append(Token("FLOAT", Decimal(lit), start_line, start_col))
+                toks.append(Token("FLOAT", lit, start_line, start_col))
             else:
                 try:
                     toks.append(Token("INT", int(lit), start_line, start_col))
@@ -212,8 +212,10 @@ class _Parser:
 
     def value(self):
         t = self.next()
-        if t.kind in ("INT", "FLOAT"):
+        if t.kind == "INT":
             return t.value
+        if t.kind == "FLOAT":
+            return Decimal(t.value)
         if t.kind == "IDENT":
             if t.value == "true":
                 return True

@@ -463,29 +463,102 @@ def test_bb_network_fixture_finishes():
 
 
 # exit code and the first 16 hex digits of the SHA-256 of stdout, text then
-# json, of `scc bb` on each fixture, as printed when bb ran a cold observe
-# after solve_bb; e3b0c44298fc1c14 is empty output
-BB_OUTPUT = {
-    "bad_dup_proc": (1, "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
-    "dominated_choice": (0, "23c8afa654a6fbb2", "f88bc1d62176fd26"),
-    "example5_cpp": (1, "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
-    "example5_cprime": (1, "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
-    "fig1": (1, "e3b0c44298fc1c14", "e3b0c44298fc1c14"),
-    "network": (0, "f616e4d13b4bac0b", "6f475822cf227175"),
-    "network_weighted": (0, "240bb04ed7a1985c", "00f604c672e3031f"),
+# json, of each command on each fixture; e3b0c44298fc1c14 is empty output.
+# The bb hashes are as printed when bb ran a cold observe after solve_bb.
+ERROR = (1, "e3b0c44298fc1c14", "e3b0c44298fc1c14")  # the message goes to stderr
+CHECKED = (0, "dc51b8c96c2d745d", "dc51b8c96c2d745d")  # "ok"
+OUTPUT = {
+    "bad_dup_proc": dict.fromkeys(("check", "solve", "run", "observe", "bb"), ERROR),
+    "dominated_choice": {
+        "check": CHECKED,
+        "solve": ERROR,
+        "run": (0, "f77d5c0b61cc083a", "346ac74708eee708"),
+        "observe": (0, "7ab6cee838a5a821", "a462f1f1e2a6cf15"),
+        "bb": (0, "23c8afa654a6fbb2", "f88bc1d62176fd26"),
+    },
+    "example5_cpp": {
+        "check": CHECKED,
+        "solve": ERROR,
+        "run": (3, "fa88455027858cda", "7f0416da30e9a844"),
+        "observe": (3, "afba6435570b7754", "823e0dda0a1016e1"),
+        "bb": ERROR,
+    },
+    "example5_cprime": {
+        "check": CHECKED,
+        "solve": ERROR,
+        "run": (3, "fa88455027858cda", "7f0416da30e9a844"),
+        "observe": (3, "afba6435570b7754", "823e0dda0a1016e1"),
+        "bb": ERROR,
+    },
+    "fig1": {
+        "check": CHECKED,
+        "solve": (0, "c30305f27952c074", "5861185e0c40c151"),
+        "run": ERROR,
+        "observe": ERROR,
+        "bb": ERROR,
+    },
+    "network": {
+        "check": CHECKED,
+        "solve": ERROR,
+        "run": (0, "5f8ee7805911c8dc", "3567a548c9b1f06e"),
+        "observe": (0, "148dcbbc3d821022", "ea7d979a01bcff91"),
+        "bb": (0, "f616e4d13b4bac0b", "6f475822cf227175"),
+    },
+    "network_weighted": {
+        "check": CHECKED,
+        "solve": ERROR,
+        "run": (0, "9ef07f52eac301b3", "95e98ef58628e06f"),
+        "observe": (0, "10fb735221fbda54", "66757ee2f53ec9c5"),
+        "bb": (0, "240bb04ed7a1985c", "00f604c672e3031f"),
+    },
 }
 
 
-def test_bb_output_is_pinned_on_every_fixture(capsys):
-    # observe and bb share one session; what they print stays byte for byte
-    assert sorted(BB_OUTPUT) == sorted(p.stem for p in FIXTURES.glob("*.scc"))
-    for name, (want_code, *want) in BB_OUTPUT.items():
-        got = []
-        for fmt in ("text", "json"):
-            code, out, err = run_main(capsys, "bb", str(FIXTURES / f"{name}.scc"), "--format", fmt)
-            assert code == want_code, (name, fmt, err)
-            got.append(hashlib.sha256(out.encode()).hexdigest()[:16])
-        assert got == want, name
+def test_output_is_pinned_on_every_fixture(capsys):
+    # what each command prints, and its exit code, stay byte for byte
+    assert sorted(OUTPUT) == sorted(p.stem for p in FIXTURES.glob("*.scc"))
+    for name, commands in OUTPUT.items():
+        for command, (want_code, *want) in commands.items():
+            got = []
+            for fmt in ("text", "json"):
+                code, out, err = run_main(capsys, command, str(FIXTURES / f"{name}.scc"), "--format", fmt)
+                assert code == want_code, (name, command, fmt, err)
+                got.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+            assert got == want, (name, command)
+
+
+def wide_program(n=20, rows=800):
+    """Fuzzy, over n two-atom variables: a choice to tell one of two tables
+    that list the same distinct random rows, at 0.3 and 0.6, and are zero
+    elsewhere; every variable stays in the support."""
+    rng = random.Random("wide program")
+    vs = ", ".join(f"x{i}" for i in range(n))
+    keys = set()
+    while len(keys) < rows:
+        keys.add(", ".join(rng.choice("ab") for _ in range(n)))
+
+    def table(name, value):
+        body = "".join(f"  ({k}) = {value};\n" for k in sorted(keys))
+        return f"constraint {name}({vs}) {{\n{body}  default = 0;\n}}\n"
+
+    return (
+        f"semiring fuzzy;\ndomain {{a, b}};\nvar {vs};\n" + table("low", 0.3) + table("high", 0.6)
+        + f"agent = ask(const(1)) -> tell(low({vs})) -> stop + ask(const(1)) -> tell(high({vs})) -> stop;\n"
+    )
+
+
+def test_wide_stores_are_ordered_by_observe_and_bb(tmp_path, capsys):
+    # 2^20 cells, past the enumeration cap: the order still answers
+    path = write(tmp_path, wide_program())
+    code, observed, err = run_main(capsys, "observe", path, "--filter", "best")
+    assert (code, err) == (0, "")
+    lines = observed.splitlines()
+    assert lines[0] == "success_set: 1 store(s)"
+    assert "=0.6" in lines[1] and "=0.3" not in lines[1]
+    code, out, err = run_main(capsys, "bb", path)
+    assert (code, err) == (0, "")
+    dk = [ln for ln in out.splitlines() if ln.startswith("dk: ")]
+    assert dk and dk == [ln for ln in lines if ln.startswith("dk: ")]
 
 
 def test_bb_rejects_level_thresholds(tmp_path, capsys):

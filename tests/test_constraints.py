@@ -1,5 +1,6 @@
 """Constraint tables: golden values, algebra laws, entailment."""
 
+import functools
 import itertools
 import math
 import random
@@ -767,9 +768,68 @@ def test_too_large_guard():
     assert out.eval({"v0": 3}) == pytest.approx(1.0)
 
 
+def _lowered(c1, c2, cells):
+    """c1 combined, cell by cell, with the least value c2 takes over the
+    cell's extensions, and its default with the least value of c2 anywhere;
+    x is intensive, so the result lies below c2.  cells are the assignments
+    of the union of supports."""
+    system = c1.system
+    s = system.semiring
+    least = {}
+    for a in cells:
+        k, v = tuple(a[x] for x in c1.vars), c2.eval(a)
+        if k not in least or s.leq(v, least[k]):
+            least[k] = v
+    floor = functools.reduce(lambda v, w: w if s.leq(w, v) else v, least.values())
+    table = {k: s.combine(v, least[k]) for k, v in c1.table.items()}
+    default = None if c1.default is None else s.combine(c1.default, floor)
+    return Constraint(system, c1.vars, table, default)
+
+
+def _raised(c, rng):
+    """c with one listed value, or its default, set to the one."""
+    s = c.system.semiring
+    table, default = dict(c.table), c.default
+    if table and (default is None or rng.random() < 0.5):
+        table[rng.choice(sorted(table))] = s.one
+    else:
+        default = s.one
+    return Constraint(c.system, c.vars, table, default)
+
+
+def test_order_matches_its_cellwise_definition():
+    # leqc against c1 <= c2 at every cell of the union of supports, on
+    # seeded pairs in every semiring, over one to three atoms and zero to
+    # three variables each, dense and with zero and nonzero defaults:
+    # random pairs, c1 lowered under c2, and such a c1 with one row or its
+    # default raised to the one
+    pool = ("x", "y", "z")
+    shapes = ("dense", "zero", "nonzero")
+    outcomes = {True: 0, False: 0}
+    for s in ALL_SEMIRINGS:
+        for n in (1, 2, 3):
+            system = ConstraintSystem(s, ("a", "b", "c")[:n])
+            rng = random.Random(repr(("order", s.kind, n)))
+            for i in range(1000):
+                c1, c2 = (
+                    _shaped(system, rng, tuple(rng.sample(pool, rng.randrange(4))), rng.choice(shapes))
+                    for _ in range(2)
+                )
+                cells = list(_cells_of(system, tuple(dict.fromkeys(c1.vars + c2.vars))))
+                if i % 3:
+                    c1 = _lowered(c1, c2, cells)
+                if i % 3 == 2:
+                    c1 = _raised(c1, rng)
+                want = all(s.leq(c1.eval(a), c2.eval(a)) for a in cells)
+                assert leqc(c1, c2) == want, (c1.vars, c1.table, c1.default, c2.vars, c2.table, c2.default)
+                outcomes[want] += 1
+    assert min(outcomes.values()) > 4000
+
+
 # -- order and equality on wide sparse tables ----------------------------
-# Twenty two-atom variables give 2^20 tuples, past the enumeration cap,
-# so these comparisons only work through the row-wise path.
+# Twenty two-atom variables give 2^20 tuples, past the enumeration cap.
+# The order compares rows with the least value over their extensions and
+# counts the keys it does not list, so it answers at any width.
 
 
 def wide_vars(n=20):
@@ -845,6 +905,50 @@ def test_wide_sparse_weighted_costs():
     assert leqc(dear, cheap)
     assert not leqc(cheap, dear)
     assert strictly_below(dear, cheap)
+
+
+def test_wide_nonzero_default_against_one_variable():
+    system = crossword_system()
+    vs = wide_vars()
+    # rows at both atoms of s0, below the default
+    wide = Constraint(system, vs, {r: 0.3 for r in wide_rows()}, default=0.5)
+
+    def narrow(a, b):
+        return Constraint(system, (vs[0],), {("a",): a, ("b",): b})
+
+    # the wide default meets the narrow table at both of its atoms
+    assert leqc(wide, narrow(0.5, 0.6)) and strictly_below(wide, narrow(0.5, 0.6))
+    assert not leqc(wide, narrow(0.4, 1.0))
+    assert not leqc(wide, narrow(1.0, 0.4))
+    # the narrow table meets the least wide value over each atom's extensions
+    assert leqc(narrow(0.3, 0.2), wide)
+    assert not leqc(narrow(0.3, 0.4), wide)
+    high_rows = Constraint(system, vs, {r: 0.8 for r in wide_rows()}, default=0.5)
+    assert not leqc(high_rows, narrow(0.5, 0.6))
+    assert leqc(high_rows, narrow(0.8, 0.8))
+    # against a table over the same twenty variables, the defaults meet on
+    # the keys neither lists
+    above = Constraint(system, vs, {r: 0.9 for r in wide_rows()}, default=0.5)
+    below = Constraint(system, vs, {r: 0.9 for r in wide_rows()}, default=0.4)
+    assert leqc(wide, above) and strictly_below(wide, above)
+    assert not leqc(wide, below)
+
+
+def test_wide_zero_default_tables_with_many_rows():
+    system = crossword_system()
+    vs = wide_vars()
+    rng = random.Random("many rows")
+    rows = set()
+    while len(rows) < 801:
+        rows.add(tuple(rng.choice("ab") for _ in vs))
+    rows = sorted(rows)
+    low = Constraint(system, vs, {r: 0.3 for r in rows[:800]}, default=0.0)
+    high = Constraint(system, vs, {r: 0.6 for r in rows[:800]}, default=0.0)
+    assert leqc(low, high) and strictly_below(low, high)
+    assert not leqc(high, low) and not strictly_below(high, low)
+    # one row that high leaves at zero breaks the order
+    moved = Constraint(system, vs, {r: 0.3 for r in rows[1:]}, default=0.0)
+    assert not leqc(moved, high) and not strictly_below(moved, high)
 
 
 def test_oplus_zero_function_is_the_unit():

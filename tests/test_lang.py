@@ -365,10 +365,10 @@ def test_parse_error_position_is_exact():
             "semiring weighted;\ndomain {a};\nvar x;\nconstraint c(x) { (a) = 2E+1 }\n",
             "line 4, column 30: expected ';', found '}'",
         ),
-        # a misplaced number is named by the float it reads as
+        # a misplaced number is named as written
         (
             "semiring fuzzy;\ndomain {a};\nvar x;\nagent = tell(const(0.5)) 2E+1;\n",
-            "line 4, column 26: expected '->', found 20.0",
+            "line 4, column 26: expected '->', found 2E+1",
         ),
     ]
     for text, where in cases:
@@ -379,6 +379,15 @@ def test_parse_error_position_is_exact():
     table = parse_program(text).templates["c"].table
     assert table == {("a",): Decimal("0.001"), ("b",): Decimal("20")}
     assert all(type(v) is Decimal for v in table.values())
+
+
+def test_misplaced_number_is_named_as_written():
+    # not by the float or the decimal it reads as: 0.1, 1e-05 and 20.0
+    for lit in ("0.1000000000000000000001", "1e-5", "2E+1", "0.50"):
+        text = f"semiring fuzzy;\ndomain {{a}};\nvar x;\nagent = tell(const(0.5)) {lit};\n"
+        with pytest.raises(ProgramError) as e:
+            parse_program(text)
+        assert str(e.value).endswith(f"line 4, column 26: expected '->', found {lit}")
 
 
 # -- free variables ------------------------------------------------------

@@ -2,9 +2,10 @@
 
 import math
 import pathlib
+import re
 
 import pytest
-from genprog import gen_programs
+from genprog import SEMIRINGS, gen_cyclic_programs, gen_programs
 
 from softcc import (
     Ask,
@@ -365,7 +366,24 @@ def test_bb_agrees_with_path_enumeration():
             assert stats == want
             assert pointwise_eq(psi, want_psi)
             checked += 1
-    assert checked == 2 * (40 + 1 + 3)  # gen_programs, dominated_choice, the three above
+    # recursive programs with binders, nested || and a choice that can hang,
+    # under every step bound; solve_bb rejects level thresholds, so those
+    # arrows become plain ones
+    pruned = 0
+    for semiring in SEMIRINGS:
+        for text, _ in gen_cyclic_programs(f"walk-{semiring}", 3, semiring):
+            p = parse_program(re.sub(r"->\^\S+", "->", text))
+            for n in range(1, 10):
+                limits = RunLimits(max_steps=n, max_fresh_vars=1)
+                psi, stats = solve_bb(p, limits)
+                want_psi, want = reference_bb(p, limits)
+                assert stats == want, (text, n)
+                assert pointwise_eq(psi, want_psi), (text, n)
+                pruned += stats.runs_pruned
+                checked += 1
+    # gen_programs, dominated_choice, the three above, the cyclic programs
+    assert checked == 2 * (40 + 1 + 3) + len(SEMIRINGS) * 3 * 9
+    assert pruned > 0
 
 
 # -- serialization -------------------------------------------------------
