@@ -54,12 +54,19 @@ def _atom_key(a: Atom):
     return (0, a, "") if isinstance(a, int) else (1, 0, a)
 
 
-def _row_key(key: tuple) -> tuple:
-    return tuple(_atom_key(a) for a in key)
+def _by_rank(system: "ConstraintSystem"):
+    """The sort key of a (row, value) item: the ranks of the row's atoms."""
+    rank = system.rank.__getitem__
+    return lambda kv: tuple(map(rank, kv[0]))
 
 
 class ConstraintSystem:
-    """A semiring plus a shared finite domain for all variables."""
+    """A semiring plus a shared finite domain for all variables.
+
+    ``rank`` numbers the atoms in their output order, ints first in numeric
+    order and then names in code-point order; rows sort by their tuples of
+    ranks.
+    """
 
     def __init__(self, semiring: Semiring, domain: Sequence[Atom]):
         domain = tuple(domain)
@@ -72,6 +79,7 @@ class ConstraintSystem:
                 raise ConstraintError(f"domain atom must be a name or integer, got {a!r}")
         self.semiring = semiring
         self.domain = domain
+        self.rank = {a: i for i, a in enumerate(sorted(domain, key=_atom_key))}
 
     def __repr__(self) -> str:
         return f"ConstraintSystem({self.semiring.kind}, |D|={len(self.domain)})"
@@ -256,7 +264,7 @@ class Constraint:
                     table.setdefault(key, stored)
             rows = [(k, v) for k, v in table.items() if v != default]
             if len(rows) > 1:
-                rows.sort(key=lambda kv: _row_key(kv[0]))
+                rows.sort(key=_by_rank(system))
             self._canon = (system.semiring.kind, svars, default, tuple(rows))
         return self._canon
 
@@ -273,7 +281,7 @@ class Constraint:
 
     def rows_sorted(self):
         """Listed rows in stable order, for printing and serialization."""
-        return sorted(self.table.items(), key=lambda kv: _row_key(kv[0]))
+        return sorted(self.table.items(), key=_by_rank(self.system))
 
 
 # -- helpers -----------------------------------------------------------
@@ -479,28 +487,31 @@ def leqc(c1: Constraint, c2: Constraint) -> bool:
     pos2 = {v: j for j, v in enumerate(c2.vars)}
     i1 = [i for i, v in enumerate(c1.vars) if v in pos2]
     i2 = [pos2[c1.vars[i]] for i in i1]
-    least = {}
+    least, rows2 = {}, {}  # shared key -> c2's least listed value, its row count
     for key, val in c2.table.items():
         k = tuple([key[j] for j in i2])
-        if k not in least or leq(val, least[k]):
+        m = least.get(k)
+        if m is None or leq(val, m):
             least[k] = val
+        rows2[k] = rows2.get(k, 0) + 1
     d2 = c2.default
     if d2 is not None:
         ext2 = system.cells(len(c2.vars) - len(i2))
-        rows2 = Counter(tuple([key[j] for j in i2]) for key in c2.table)
         for k, n in rows2.items():
             if n < ext2 and leq(d2, least[k]):
                 least[k] = d2
     # a key that c2 does not list takes its default (a dense c2 lists every key)
+    rows1 = {}  # shared key -> c1's row count
     for key, val in c1.table.items():
-        if not leq(val, least.get(tuple([key[i] for i in i1]), d2)):
+        k = tuple([key[i] for i in i1])
+        if not leq(val, least.get(k, d2)):
             return False
+        rows1[k] = rows1.get(k, 0) + 1
     d1 = c1.default
     if d1 is None or d1 == system.semiring.zero:
         return True
     ext1 = system.cells(len(c1.vars) - len(i1))
-    rows1 = Counter(tuple([key[i] for i in i1]) for key in c1.table)
-    if any(rows1[k] < ext1 and not leq(d1, m) for k, m in least.items()):
+    if any(rows1.get(k, 0) < ext1 and not leq(d1, m) for k, m in least.items()):
         return False
     # the keys c2 does not list: does c1 leave a cell unlisted at one of them?
     unlisted = system.cells(len(i1)) - len(least)

@@ -15,8 +15,14 @@ constraints in other orders reach pointwise-equal stores.  Within one
 ``run_all`` call or branch-and-bound session, such stores share their
 "pw" key and entailment and cut answers; factors, projections and a wide
 store's "fs" key, the multiset of its factors' keys, follow the order of
-folding and stay each store's own.
-Stores built any other way share nothing.
+folding and stay each store's own.  x distributes over +, so there
+entailment and best level also split a store into its components, the
+factors joined by shared variables: a component that shares no variable
+with the asked constraint enters as its best level, a scalar, from the
+session's table, and a tell changes only the components it touches.
+``project``, ``materialize``, ``key`` and ``witness`` never split, as
+their results are printed or keyed.  Stores built any other way share
+nothing and project whole.
 
 A configuration is an agent plus a store (plus the fresh-name counters a
 run has used).  ``step`` returns every rule application at once:
@@ -155,24 +161,28 @@ class Store:
     Each store memoises its tells (see ``tell``), so a repeated tell returns
     one successor whose key, hash, level, entailment and cut answers are
     warm.  Stores of one exploration told alike share their pointwise
-    answers (see ``_Answers``).  What a leaf agent does at the store is
-    memoised by ``run_all``, not here, so that no store keeps the stores its
-    runs reached alive.
+    answers (see ``_Answers``) and their components' best levels (see
+    ``_split``).  What a leaf agent does at the store is memoised by
+    ``run_all``, not here, so that no store keeps the stores its runs
+    reached alive.
     """
 
     __slots__ = (
-        "system", "factors", "told", "_key", "_hash", "_proj", "_ans", "_tells", "__weakref__",
+        "system", "factors", "told", "_key", "_hash", "_proj", "_ans", "_tells",
+        "_comps", "_levels", "__weakref__",
     )
 
     def __init__(
-        self, system, factors: Tuple[Constraint, ...] = (), told=None, *, _answers=None
+        self, system, factors: Tuple[Constraint, ...] = (), told=None, *, _answers=None, _levels=None
     ):
         self.system = system
         self.factors = factors
         self.told = frozenset(f.canonical_key() for f in factors) if told is None else told
-        self._key = self._hash = None
+        self._key = self._hash = self._comps = None
         self._proj, self._tells = {}, {}
         self._ans = _Answers() if _answers is None else _answers
+        # a session's frozenset of component factor ids -> (factors, best level)
+        self._levels = _levels
 
     def tell(self, c: Constraint) -> "Store":
         """The store after combining c in.
@@ -211,11 +221,12 @@ class Store:
         for i, f in enumerate(self.factors):
             if cv.issubset(f.vars):
                 folded = self.factors[:i] + (tensor(f, c),) + self.factors[i + 1 :]
-                return Store(system, folded, told, _answers=answers)
-        inside = [f for f in self.factors if cv.issuperset(f.vars)]
-        rest = tuple(f for f in self.factors if not cv.issuperset(f.vars))
-        folded = rest + (tensor_all(inside + [c], system),)
-        return Store(system, folded, told, _answers=answers)
+                break
+        else:
+            inside = [f for f in self.factors if cv.issuperset(f.vars)]
+            rest = tuple(f for f in self.factors if not cv.issuperset(f.vars))
+            folded = rest + (tensor_all(inside + [c], system),)
+        return Store(system, folded, told, _answers=answers, _levels=self._levels)
 
     def vars(self) -> tuple:
         factors = self.factors
@@ -249,7 +260,8 @@ class Store:
         return self.project(self.vars())
 
     def blevel(self) -> Value:
-        return self.project(()).scalar()
+        split = self._split(())
+        return self.project(()).scalar() if split is None else split[1]
 
     def entails(self, c: Constraint) -> bool:
         ck = c.canonical_key()
@@ -258,8 +270,50 @@ class Store:
         entails = self._ans.entails
         got = entails.get(ck)
         if got is None:
-            got = entails[ck] = leqc(self.project(c.vars), c)
+            split = self._split(c.vars)
+            if split is None:
+                proj = self.project(c.vars)
+            else:
+                near, level = split
+                proj = self.system.constant(level)
+                if near:
+                    proj = combine_project(near + [proj], c.vars, self.system)
+            got = entails[ck] = leqc(proj, c)
         return got
+
+    def _split(self, keep) -> Optional[Tuple[List[Constraint], Value]]:
+        """The factors of the components that touch keep, and the x of
+        every other component's best level; None off a session, for one
+        component (a tell would mostly replace its entry before a read),
+        and when every component touches keep.  Each ``_levels`` entry pins
+        its factors, so their ids stay their own.
+        """
+        if self._levels is None or len(self.factors) < 2:
+            return None
+        comps = self._comps
+        if comps is None:
+            comps = []  # [(variables, factors)], joined by shared variables
+            for f in self.factors:
+                vs, fs = set(f.vars), [f]
+                for comp in [k for k in comps if not vs.isdisjoint(k[0])]:
+                    comps.remove(comp)
+                    vs |= comp[0]
+                    fs = comp[1] + fs
+                comps.append((vs, fs))
+            self._comps = comps
+        near = [f for vs, fs in comps if not vs.isdisjoint(keep) for f in fs]
+        if len(comps) < 2 or len(near) == len(self.factors):
+            return None
+        s, levels = self.system.semiring, self._levels
+        level = s.one
+        for vs, fs in comps:
+            if vs.isdisjoint(keep):
+                ids = frozenset(map(id, fs))
+                got = levels.get(ids)
+                if got is None:
+                    got = levels[ids] = fs, combine_project(fs, (), self.system).scalar()
+                level = s.combine(level, got[1])
+        return near, level
 
     def witness(self, c: Constraint) -> Optional[dict]:
         """An assignment refuting entailment of c, or None if entailed."""
@@ -542,11 +596,13 @@ class _Session:
     leaf memos.  Holding the memos keeps every store they reached alive, so
     a later exploration meets warm successors in ``Store.tell``'s weak memo;
     all of it is freed with the session.  The stores grown from the root
-    share their pointwise answers (see ``_Answers``)."""
+    share their pointwise answers (see ``_Answers``) and one table of
+    component best levels (see ``Store._split``)."""
 
     def __init__(self, system):
         table = weakref.WeakValueDictionary()
-        self.root = Store(system, _answers=_Answers(table, (frozenset(), frozenset())))
+        answers = _Answers(table, (frozenset(), frozenset()))
+        self.root = Store(system, _answers=answers, _levels={})
         self.leaves: List[Dict] = []
 
 

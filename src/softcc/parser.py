@@ -27,7 +27,7 @@ import math
 from decimal import Decimal
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .constraints import _row_key
+from .constraints import _by_rank
 from .lang import (
     Agent,
     Ask,
@@ -586,7 +586,7 @@ def pretty_program(p: Program) -> str:
         head = f"constraint {tpl.name}(" + ", ".join(tpl.params) + ") {"
         rows = [
             f"  ({', '.join(str(a) for a in key)}) = {format_value(v)};"
-            for key, v in sorted(tpl.table.items(), key=lambda kv: _row_key(kv[0]))
+            for key, v in sorted(tpl.table.items(), key=_by_rank(p.system))
         ]
         if tpl.default is not None:
             rows.append(f"  default = {format_value(tpl.default)};")

@@ -190,6 +190,23 @@ def test_canonical_key_identifies_functions():
     assert other != sparse
 
 
+def test_rows_sort_by_atom_rank_on_a_mixed_domain():
+    # ints come first in numeric order, then names in code-point order
+    system = ConstraintSystem(FUZZY, (10, 2, "b", "A"))
+    order = [2, 10, "A", "b"]
+    assert system.rank == {a: i for i, a in enumerate(order)}
+    keys = list(itertools.product(system.domain, repeat=2))
+    random.Random("mixed-domain").shuffle(keys)
+    table = {k: (i + 1) / 100 for i, k in enumerate(keys)}  # all distinct; 0.01 is the default
+    c = Constraint(system, ("y", "x"), table)
+    in_order = list(itertools.product(order, repeat=2))
+    assert c.rows_sorted() == [(k, table[k]) for k in in_order]
+    kind, svars, default, rows = c.canonical_key()
+    assert (svars, default) == (("x", "y"), 0.01)
+    want = [((x, y), table[y, x]) for x, y in in_order if table[y, x] != 0.01]
+    assert list(rows) == want
+
+
 # Values on a small grid, so ties and repeated values are common.
 GRID = {
     "boolean": (False, True),

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 import pytest
 from genprog import SEMIRINGS, gen_cyclic_programs, gen_programs
-from test_constraints import rand_constraint, small_systems
+from test_constraints import _shaped, rand_constraint, small_systems
 from test_observe import reference_bb
 
 from softcc import (
@@ -26,6 +26,7 @@ from softcc import (
     RunLimits,
     Store,
     ConstraintSystem,
+    combine_project,
     cut_program,
     initial_configuration,
     iter_runs,
@@ -474,10 +475,9 @@ def test_store_memo_matches_a_fresh_fold():
     assert store.key()[0] == "fs"
 
 
-def count_tensor_calls(monkeypatch):
-    """Count calls of constraints.tensor under every name softcc binds it to."""
+def count_calls(monkeypatch, original):
+    """Count calls of a constraints function under every name softcc binds it to."""
     calls = [0]
-    original = constraints.tensor
 
     def counted(*args):
         calls[0] += 1
@@ -494,17 +494,28 @@ def count_tensor_calls(monkeypatch):
 def test_observe_on_the_network_fixture_reuses_store_transitions(monkeypatch):
     # every interleaving tells onto the same stores; the memo makes each
     # distinct (store, constraint) tell once.  The work is counted, not timed.
-    calls = count_tensor_calls(monkeypatch)
+    calls = count_calls(monkeypatch, constraints.tensor)
     p = parse_program((ROOT / "fixtures" / "network.scc").read_text())
     got = observe(p)
     assert got.result.expansions == 526
     assert calls[0] <= 400  # 807 when every interleaving recomputed its tells
 
 
+def test_observe_on_the_network_fixture_reuses_component_levels(monkeypatch):
+    # each missed ask waits on an end flag that no factor mentions, so every
+    # component enters as its best level, and a tell changes one component:
+    # the others' levels come from the root's table.  The work is counted.
+    calls = count_calls(monkeypatch, constraints.project)
+    p = parse_program((ROOT / "fixtures" / "network.scc").read_text())
+    got = observe(p)
+    assert got.result.expansions == 526
+    assert calls[0] <= 100  # 410 when every miss projected the whole store
+
+
 def test_solve_bb_on_the_network_fixture_passes_warm_stores(monkeypatch):
     # the second pass re-tells onto the stores the first pass reached, kept
     # alive by the session.  The work is counted, not timed.
-    calls = count_tensor_calls(monkeypatch)
+    calls = count_calls(monkeypatch, constraints.tensor)
     p = parse_program((ROOT / "fixtures" / "network.scc").read_text())
     _, stats = solve_bb(p)
     assert (stats.iterations, stats.runs_explored) == (1, 1_220_424_505)
@@ -614,6 +625,68 @@ def test_store_below_cut_matches_the_joint_table():
                 assert store.entails(phi) == leqc(joint, phi)
                 verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def _components(factors) -> list:
+    """The variable sets of the factors' connected components."""
+    comps = []
+    for f in factors:
+        vs = set(f.vars)
+        for k in [k for k in comps if not vs.isdisjoint(k)]:
+            comps.remove(k)
+            vs |= k
+        comps.append(vs)
+    return comps
+
+
+def test_store_components_answer_as_the_whole_store():
+    # entailment and best level take each component that c does not touch
+    # as its best level, from a table every store of one session shares;
+    # they must agree with projecting the whole factor list, on stores of
+    # 2-4 components grown by tells that change one component or merge two.
+    # Off a session, as in iter_runs and run_one, a store projects whole.
+    rng = random.Random("store-components")
+    groups = (("p", "q"), ("r",), ("s", "t"), ("u",))
+    checked = merged = 0
+    for system in small_systems():
+        s = system.semiring
+
+        def con(vs):
+            return _shaped(system, rng, vs, rng.choice(("dense", "zero", "nonzero")))
+
+        plain = Store(system).tell(con(("p",))).tell(con(("r",)))
+        assert plain._split(()) is None
+        for _ in range(3):
+            store = _Session(system).root
+            for g in rng.sample(groups, rng.randrange(2, 5)):
+                store = store.tell(con(g))
+            stores = [store]
+            for _ in range(10):
+                store = rng.choice(stores)
+                comps = _components(store.factors)
+                if len(comps) > 2 and rng.random() < 0.3:
+                    a, b = rng.sample(comps, 2)
+                    vs = (rng.choice(sorted(a)), rng.choice(sorted(b)))
+                    merged += 1
+                else:
+                    g = sorted(rng.choice(comps))
+                    vs = tuple(rng.sample(g, rng.randrange(1, len(g) + 1)))
+                stores.append(store.tell(con(vs)))
+            for store in stores:
+                factors, comps = store.factors, _components(store.factors)
+                assert 2 <= len(comps) <= 4
+                assert store.blevel() == combine_project(factors, (), system).scalar()
+                one, (a, b) = sorted(rng.choice(comps)), rng.sample(comps, 2)
+                for c in (
+                    con(("w",)),  # disjoint from the store
+                    system.constant(s.sample(rng)),
+                    con((rng.choice(one),)),  # touches one component
+                    con((rng.choice(sorted(a)), rng.choice(sorted(b)))),  # touches two
+                ):
+                    want = leqc(combine_project(factors, c.vars, system), c)
+                    assert store.entails(c) == want
+                    checked += 1
+    assert merged > 10 and checked > 1000
 
 
 def test_stores_told_alike_share_pointwise_answers():

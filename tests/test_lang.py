@@ -580,6 +580,17 @@ def test_pretty_round_trips_library_built_agents():
     assert printed > 100 and rejected > 20
 
 
+def test_pretty_program_sorts_template_rows_by_atom_rank():
+    text = (
+        "semiring fuzzy; domain {10, 2, b, A}; var x;"
+        " constraint c(x) { (b) = 0.5; (A) = 0.4; (10) = 0.3; (2) = 0.2; }"
+        " agent = tell(c(x)) -> stop;"
+    )
+    printed = pretty_program(parse_program(text))
+    rows = [line.split(")")[0].strip(" (") for line in printed.splitlines() if " = 0." in line]
+    assert rows == ["2", "10", "A", "b"]
+
+
 def test_pretty_program_round_trip_fixtures():
     for path in sorted(FIXTURES.glob("*.scc")):
         if path.name.startswith("bad_"):
