@@ -356,7 +356,8 @@ def tensor(c1: Constraint, c2: Constraint) -> Constraint:
     alone.  If c2's variables all lie in c1's, each row of c1 meets at most
     one row of c2 and looks it up directly (by its own key when the
     variables are the same, in the same order); otherwise the rows of c2
-    are bucketed by the variables the two share.
+    are bucketed by the variables the two share, and the output is counted
+    before it is built, so that it too keeps to ``MAX_CELLS``.
     """
     system = c1.system
     if system is not c2.system and (
@@ -387,8 +388,16 @@ def tensor(c1: Constraint, c2: Constraint) -> Constraint:
             buckets.setdefault(tuple([key2[i] for i in i2]), []).append(
                 (tuple([key2[i] for i in extra]), val2)
             )
+        met, rows = [], 0
         for key1, val1 in c1.table.items():
-            for ext, val2 in buckets.get(tuple([key1[i] for i in i1]), ()):
+            bucket = buckets.get(tuple([key1[i] for i in i1]))
+            if bucket is not None:
+                met.append((key1, val1, bucket))
+                rows += len(bucket)
+        if rows > MAX_CELLS:
+            raise TooLargeError(f"tensor over {len(v1) + len(extra)} variables is too large")
+        for key1, val1, bucket in met:
+            for ext, val2 in bucket:
                 v = combine(val1, val2)
                 if not eq(v, zero):
                     table[key1 + ext] = v

@@ -42,10 +42,17 @@ is classified Hang only when nothing anywhere can step.
 ``run_all`` explores every maximal run depth-first, deduplicating
 structurally identical configurations, detecting on-path repetition as
 divergence, and counting maximal runs exactly as path enumeration does.
-Its memo is exact: a configuration is memoised only when none of its runs
-met an on-path repeat or the step bound, with its height (the steps down
-to its deepest running configuration), and reused at depth d only while
-d + height stays below the step bound.  Its traces are chains ((rule,
+It numbers each configuration the first time it meets it, in one state
+table keyed by the configuration's head: its kind, agent, fresh counters
+and blocked asks.  A head holds its first store unhashed and becomes a
+dict from store to number only when a store unequal to it arrives, so a
+store is keyed only at a head that has met two different stores; stores
+told alike compare equal without a key (see ``Store``).  Its memo, its
+on-path set and its run-class rows hold these numbers.  The memo is
+exact: a configuration is memoised only when none of its runs met an
+on-path repeat or the step bound, with its height (the steps down to its
+deepest running configuration), and reused at depth d only while d +
+height stays below the step bound.  Its traces are chains ((rule,
 configuration), rest) ending in () that share their tails, flattened
 once, at the root.
 
@@ -162,14 +169,16 @@ class Store:
     one successor whose key, hash, level, entailment and cut answers are
     warm.  Stores of one exploration told alike share their pointwise
     answers (see ``_Answers``) and their components' best levels (see
-    ``_split``).  What a leaf agent does at the store is memoised by
-    ``run_all``, not here, so that no store keeps the stores its runs
-    reached alive.
+    ``_split``).  Two stores are equal when their keys are; two pointwise
+    keyed stores that share one record are equal without a key, as the
+    record holds the "pw" key of both.  What a leaf agent does at the store
+    is memoised by ``run_all``, not here, so that no store keeps the stores
+    its runs reached alive.
     """
 
     __slots__ = (
-        "system", "factors", "told", "_key", "_hash", "_proj", "_ans", "_tells",
-        "_comps", "_levels", "__weakref__",
+        "system", "factors", "told", "_key", "_hash", "_narrow", "_proj", "_ans",
+        "_tells", "_comps", "_levels", "__weakref__",
     )
 
     def __init__(
@@ -178,7 +187,7 @@ class Store:
         self.system = system
         self.factors = factors
         self.told = frozenset(f.canonical_key() for f in factors) if told is None else told
-        self._key = self._hash = self._comps = None
+        self._key = self._hash = self._narrow = self._comps = None
         self._proj, self._tells = {}, {}
         self._ans = _Answers() if _answers is None else _answers
         # a session's frozenset of component factor ids -> (factors, best level)
@@ -234,10 +243,15 @@ class Store:
             return factors[0].vars
         return tuple(dict.fromkeys([v for f in factors for v in f.vars]))
 
+    def _pointwise(self) -> bool:
+        """Whether the joint table is small enough to key pointwise."""
+        if self._narrow is None:
+            self._narrow = self.system.cells(len(self.vars())) <= _POINTWISE_CELLS
+        return self._narrow
+
     def key(self) -> tuple:
         if self._key is None:
-            nvars = len(self.vars())
-            if self.system.cells(nvars) <= _POINTWISE_CELLS:
+            if self._pointwise():
                 ans = self._ans
                 if ans.pw is None:
                     ans.pw = ("pw", self.materialize().canonical_key())
@@ -248,7 +262,13 @@ class Store:
         return self._key
 
     def __eq__(self, other):
-        return self is other or isinstance(other, Store) and self.key() == other.key()
+        if self is other:
+            return True
+        if not isinstance(other, Store):
+            return False
+        if self._ans is other._ans and self._pointwise() and other._pointwise():
+            return True  # told alike: both keys are the record's "pw" key
+        return self.key() == other.key()
 
     def __hash__(self):
         if self._hash is None:
@@ -274,8 +294,8 @@ class Store:
             if split is None:
                 proj = self.project(c.vars)
             else:
-                near, level = split
-                proj = self.system.constant(level)
+                near, level = split  # a product of best levels, in the carrier
+                proj = Constraint._unchecked(self.system, (), {(): level})
                 if near:
                     proj = combine_project(near + [proj], c.vars, self.system)
             got = entails[ck] = leqc(proj, c)
@@ -365,6 +385,33 @@ class Configuration(NamedTuple):
         return sum(n for _, n in self.fresh)
 
 
+def _number(heads: Dict, cfgs: List[Configuration], cfg: Configuration) -> int:
+    """cfg's number in the state table (heads, cfgs), appending cfg to cfgs
+    when it is new.  ``heads`` maps a head, a configuration without its
+    store, to the number of the first configuration met with it; a store
+    unequal to that one's turns the entry into a dict from store to number.
+    So a store is compared only when another meets it at its head, and
+    hashed only where two different stores met.
+    """
+    kind, agent, store, fresh, blocked = cfg
+    n = len(cfgs)
+    head = kind, agent, fresh, blocked
+    got = heads.setdefault(head, n)
+    if type(got) is dict:
+        m = got.setdefault(store, n)
+    elif got == n:
+        m = n
+    else:
+        first = cfgs[got].store
+        if first is store or first == store:
+            return got
+        heads[head] = {first: got, store: n}
+        m = n
+    if m == n:
+        cfgs.append(cfg)
+    return m
+
+
 class StepEdge(NamedTuple):
     rule: str
     target: Configuration
@@ -442,7 +489,9 @@ def step(cfg: Configuration, program: Program, first=False, *, _memo=None) -> Li
     Par nodes above it, and its fresh counters as a sorted tuple; a run of
     directly nested binders opens with one substitution, on counters of the
     component's own.  Each move of a leaf is lifted through its ``up``
-    once and becomes an edge unless an earlier edge has the same target.
+    once and becomes an edge unless an earlier edge has the same target;
+    from the second edge on, the targets are numbered in a state table of
+    the step's own (see ``_number``).
 
     Terminal configurations have no successors.  A running configuration
     where nothing can move and at least one ask is waiting steps to Hang.
@@ -465,7 +514,7 @@ def step(cfg: Configuration, program: Program, first=False, *, _memo=None) -> Li
             entry = leaves[id(store)] = (store, at)  # the store is pinned, so its id stays its own
         at = entry[1]
     edges: List[StepEdge] = []
-    seen, hangs = set(), []
+    heads, targets, hangs = None, [], []
     todo = [(cfg.agent, None, cfg.fresh)]
     while todo:
         a, up, fresh = todo.pop()
@@ -499,10 +548,14 @@ def step(cfg: Configuration, program: Program, first=False, *, _memo=None) -> Li
                     new = Par(new, other) if left else Par(other, new)
                 kind = "running"
             target = Configuration(kind, new, after, fresh)
-            n = len(seen)
-            seen.add(target)
-            if len(seen) > n:  # no earlier edge reaches target
-                edges.append(StepEdge(rule, target, pruned))
+            if edges:  # number the targets from the second edge on
+                if heads is None:
+                    heads = {}
+                    _number(heads, targets, edges[0].target)
+                n = len(targets)
+                if _number(heads, targets, target) < n:
+                    continue  # an earlier edge reaches target
+            edges.append(StepEdge(rule, target, pruned))
         if first and edges:
             break
     if not edges:
@@ -551,24 +604,26 @@ class RunResult:
 
 
 class _Frame:
-    __slots__ = ("rule", "cfg", "depth", "edges", "idx", "agg", "height")
+    __slots__ = ("rule", "cfg", "num", "depth", "edges", "idx", "agg", "height")
 
-    def __init__(self, rule, cfg, depth, edges):
+    def __init__(self, rule, cfg, num, depth, edges):
         self.rule = rule  # the rule of the edge that reached cfg
         self.cfg = cfg
+        self.num = num  # cfg's number in the state table
         self.depth = depth
         self.edges = edges
         self.idx = 0
-        self.agg: Dict = {}  # (kind, config or None) -> [kind, config, trace, paths, pruned]
+        # (kind, number or None) -> [kind, number or None, trace, paths, pruned]
+        self.agg: Dict = {}
         # steps down to the deepest running configuration below; inf once a
         # run below met an on-path repeat or the step bound
         self.height = 0
 
 
-def _merge(agg: Dict, kind, config, trace, paths=1, pruned=0):
-    old = agg.get((kind, config))
+def _merge(agg: Dict, kind, num, trace, paths=1, pruned=0):
+    old = agg.get((kind, num))
     if old is None:
-        agg[kind, config] = [kind, config, trace, paths, pruned]
+        agg[kind, num] = [kind, num, trace, paths, pruned]
     else:
         old[3] += paths
         old[4] += pruned
@@ -577,8 +632,8 @@ def _merge(agg: Dict, kind, config, trace, paths=1, pruned=0):
 def _fold(f: _Frame, rule: str, cfg: Configuration, rows, height) -> None:
     """Fold the run classes from cfg, reached by rule, into frame f."""
     f.height = max(f.height, height + 1)
-    for kind, config, trace, paths, pruned in rows:
-        _merge(f.agg, kind, config, ((rule, cfg), trace), paths, pruned)
+    for kind, num, trace, paths, pruned in rows:
+        _merge(f.agg, kind, num, ((rule, cfg), trace), paths, pruned)
 
 
 def _main(program: Program) -> Agent:
@@ -635,9 +690,11 @@ def run_all(
     # the unfold memo: call -> body, and (exists, fresh) -> (opened agent, fresh)
     step_memo = leaves, {}
     init = Configuration("running", main, session.root)
-    memo: Dict[Configuration, Tuple[list, int]] = {}  # cfg -> (rows, height)
-    onpath = {init}
-    root = _Frame(None, init, 0, step(init, program, _memo=step_memo))
+    heads: Dict = {}  # the state table, see _number
+    cfgs: List[Configuration] = []
+    memo: Dict[int, Tuple[list, int]] = {}  # number -> (rows, height)
+    onpath = {_number(heads, cfgs, init)}
+    root = _Frame(None, init, 0, 0, step(init, program, _memo=step_memo))
     expansions = 1
     stack = [root]
     stopped = False
@@ -648,15 +705,16 @@ def run_all(
             edge = f.edges[f.idx]
             f.idx += 1
             rule, nxt = edge.rule, edge.target
+            n = _number(heads, cfgs, nxt)
             if nxt.kind != "running":
-                _merge(f.agg, nxt.kind, nxt, ((rule, nxt), ()), 1, int(edge.pruned))
+                _merge(f.agg, nxt.kind, n, ((rule, nxt), ()), 1, int(edge.pruned))
                 stopped = nxt.kind == "success" and stop is not None and stop(nxt.store)
                 continue
-            hit = memo.get(nxt)
+            hit = memo.get(n)
             if hit is not None and f.depth + 1 + hit[1] < limits.max_steps:
                 _fold(f, rule, nxt, *hit)
                 continue
-            if nxt in onpath:
+            if n in onpath:
                 f.height = math.inf  # the verdict depends on the path
                 _merge(f.agg, "divergent", None, ((rule, nxt), ()))
                 continue
@@ -666,20 +724,24 @@ def run_all(
                     f.height = math.inf  # the verdict depends on the depth
                 _merge(f.agg, "bound_exceeded", None, ())
                 continue
-            stack.append(_Frame(rule, nxt, f.depth + 1, step(nxt, program, _memo=step_memo)))
+            stack.append(_Frame(rule, nxt, n, f.depth + 1, step(nxt, program, _memo=step_memo)))
             expansions += 1
-            onpath.add(nxt)
+            onpath.add(n)
             continue
         # frame complete, or unwinding after a stop
         stack.pop()
-        onpath.discard(f.cfg)
+        onpath.discard(f.num)
         rows = list(f.agg.values())
         if not stopped and f.height < math.inf:
-            memo[f.cfg] = rows, f.height
+            memo[f.num] = rows, f.height
         if stack:
             _fold(stack[-1], f.rule, f.cfg, rows, f.height)
 
-    records = [RunRecord(k, c, _flatten(t), n, p) for k, c, t, n, p in root.agg.values()]
+    records = []
+    for kind, num, chain, paths, pruned in root.agg.values():
+        trace = _flatten(chain)
+        # a terminal class's configuration ends the trace it was first met by
+        records.append(RunRecord(kind, None if num is None else trace[-1][1], trace, paths, pruned))
     return RunResult(records, sum(r.paths for r in records), expansions)
 
 
@@ -742,7 +804,7 @@ def run_one(
             raise EngineError("random policy needs a seed")
         rng = random.Random(seed)
     cfg = initial_configuration(program)
-    seen = {cfg}
+    seen = {cfg}  # not a state table: a run meets each head with many stores
     trace: List[Tuple[str, Configuration]] = []
     while True:
         if len(trace) >= limits.max_steps:

@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import resource
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -210,6 +211,32 @@ def test_run_deep_parallel_stops(tmp_path):
     got = run_subprocess("run", write(tmp_path, text), timeout=120)
     assert got.returncode == 0, got.stderr
     assert got.stdout.startswith("terminal: success\nsteps: 2001\n")
+
+
+def test_dense_ring_too_large_is_a_clean_error_under_a_memory_cap(tmp_path):
+    # eight dense tables told round a ring: the hang's joins would grow past
+    # MAX_CELLS row by row (about 3M rows at the third), so the bucketed
+    # join must count its output and refuse before allocating it
+    n = 12
+    rows = " ".join(
+        f"({i}, {j}) = {round(1 / (1 + abs(i - j)), 3)};" for i in range(n) for j in range(n)
+    )
+    tells = " -> ".join(f"tell(c(x{k}, x{(k + 1) % 8}))" for k in range(8))
+    text = (
+        f"semiring fuzzy;\ndomain {{{', '.join(map(str, range(n)))}}};\n"
+        f"var {', '.join(f'x{k}' for k in range(8))};\n"
+        f"constraint c(x, y) {{ {rows} }}\n"
+        f"agent = {tells} -> ask(c(x0, x4)) -> stop;\n"
+    )
+
+    def cap_memory():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    got = run_subprocess("run", write(tmp_path, text), timeout=120, preexec_fn=cap_memory)
+    assert got.returncode == 1, got.stderr
+    assert "Traceback" not in got.stderr
+    lines = got.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("scc: error: "), got.stderr
 
 
 def test_check_duplicate_proc(capsys):

@@ -37,6 +37,7 @@ from softcc import (
     tensor,
     tensor_all,
 )
+from softcc import constraints
 
 IDEMPOTENT = (BOOLEAN, FUZZY)
 
@@ -783,6 +784,29 @@ def test_too_large_guard():
     # variable elimination keeps the same query affordable
     out = combine_project(cs, ["v0"], big)
     assert out.eval({"v0": 3}) == pytest.approx(1.0)
+
+
+def test_row_wise_join_counts_its_rows_against_the_bound(monkeypatch):
+    # dense tables join row by row, bucketed by the variable they share;
+    # the output is counted first, so a join past MAX_CELLS raises instead
+    # of building its rows, and one just inside the bound builds them all
+    three = ConstraintSystem(FUZZY, ("a", "b", "c"))
+    rng = random.Random("row-wise-bound")
+
+    def dense(vs):
+        rows = itertools.product("abc", repeat=2)
+        return Constraint(three, vs, {k: rng.choice((0.2, 0.5, 0.9)) for k in rows})
+
+    c1, c2 = dense(("x", "y")), dense(("y", "z"))  # 9 rows each, 27 rows out
+    monkeypatch.setattr(constraints, "MAX_CELLS", 26)
+    with pytest.raises(TooLargeError, match="tensor over 3 variables is too large"):
+        tensor(c1, c2)
+    monkeypatch.setattr(constraints, "MAX_CELLS", 27)
+    got = tensor(c1, c2)
+    assert len(got.table) == 27
+    for x, y, z in itertools.product("abc", repeat=3):
+        want = min(c1.eval({"x": x, "y": y}), c2.eval({"y": y, "z": z}))
+        assert got.eval({"x": x, "y": y, "z": z}) == want
 
 
 def _lowered(c1, c2, cells):

@@ -476,7 +476,8 @@ def test_store_memo_matches_a_fresh_fold():
 
 
 def count_calls(monkeypatch, original):
-    """Count calls of a constraints function under every name softcc binds it to."""
+    """Count calls of a function, or of a method, under every name softcc's
+    modules and classes bind it to."""
     calls = [0]
 
     def counted(*args):
@@ -485,9 +486,11 @@ def count_calls(monkeypatch, original):
 
     for name, module in list(sys.modules.items()):
         if name == "softcc" or name.startswith("softcc."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+            owners = [module] + [v for v in vars(module).values() if isinstance(v, type)]
+            for owner in owners:
+                for attr, value in list(vars(owner).items()):
+                    if value is original:
+                        monkeypatch.setattr(owner, attr, counted)
     return calls
 
 
@@ -510,6 +513,32 @@ def test_observe_on_the_network_fixture_reuses_component_levels(monkeypatch):
     got = observe(p)
     assert got.result.expansions == 526
     assert calls[0] <= 100  # 410 when every miss projected the whole store
+
+
+def test_observe_on_the_network_fixture_keys_no_store(monkeypatch):
+    # a billion schedules reach each state through stores told alike, which
+    # compare equal by their shared record: no store is materialized for a
+    # key.  The work is counted.
+    calls = count_calls(monkeypatch, Store.materialize)
+    p = parse_program((ROOT / "fixtures" / "network.scc").read_text())
+    got = observe(p)
+    assert got.result.expansions == 526
+    assert calls[0] == 0  # 25 when every configuration was hashed by its store's key
+
+
+def test_run_all_compares_few_stores_at_a_head_with_many(monkeypatch):
+    # each weighted tell lowers the store, so one head meets thousands of
+    # stores; looking each up must stay linear.  The calls are counted.
+    calls = count_calls(monkeypatch, Store.__eq__)
+    p = prog(
+        "p(x)",
+        "constraint c(x) { (a) = 1; (b) = 2; }\nproc p(x) :: tell(c(x)) -> p(x);\n",
+        "semiring weighted;\ndomain {a, b};\nvar x;\n",
+    )
+    got = run_all(p, RunLimits(max_steps=4_000))
+    assert [r.kind for r in got.records] == ["bound_exceeded"]
+    assert got.expansions == 4_000
+    assert calls[0] <= 2 * got.expansions
 
 
 def test_solve_bb_on_the_network_fixture_passes_warm_stores(monkeypatch):
