@@ -195,7 +195,7 @@ def cmd_bb(args) -> int:
     program = _load(args.file)
     _require_agent(program)
     limits = _limits(args)
-    # explore first, so the bb passes start on the stores it reached
+    # explore first, so the bb passes start with the answers it computed
     session = _Session(program.system)
     obs = observables_of(program, run_all(program, limits, _session=session))
     psi, stats = solve_bb(program, limits, _session=session)

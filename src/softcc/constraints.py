@@ -18,9 +18,10 @@ so it answers at any width.  ``combine_project`` combines a factor list and
 projects in one pass via variable elimination so the full joint table never
 needs to exist; the factors of each bucket join in factor order.  ``tensor`` joins the listed
 rows: by direct lookup when the second support lies inside the first, as
-every fold of a tell into a store factor does, and through buckets on the
-shared variables otherwise.  Every operation that walks the cells of a
-joint table does so through ``_cells``; the order walks none.
+every fold of a tell into a store factor does, through buckets on the
+shared variables otherwise, and over either's keys for equal supports.
+Every operation that walks the cells of a joint table does so through
+``_cells``; the order walks none.
 """
 
 from __future__ import annotations
@@ -357,7 +358,8 @@ def tensor(c1: Constraint, c2: Constraint) -> Constraint:
     one row of c2 and looks it up directly (by its own key when the
     variables are the same, in the same order); otherwise the rows of c2
     are bucketed by the variables the two share, and the output is counted
-    before it is built, so that it too keeps to ``MAX_CELLS``.
+    before it is built, so that it too keeps to ``MAX_CELLS``.  Equal
+    variable sets join as ``_join_equal`` does, whatever the defaults.
     """
     system = c1.system
     if system is not c2.system and (
@@ -402,9 +404,23 @@ def tensor(c1: Constraint, c2: Constraint) -> Constraint:
                 if not eq(v, zero):
                     table[key1 + ext] = v
         return Constraint._unchecked(system, v1 + tuple(v2[i] for i in extra), table, zero)
+    if set(c1.vars) == set(c2.vars):
+        return _join_equal(c1, c2, s.combine)
     union = _union_vars(c1, c2)
     table = {key: s.combine(a, b) for key, (a, b) in _cells((c1, c2), union, "tensor")}
     return Constraint._unchecked(system, union, table)
+
+
+def _join_equal(c1: Constraint, c2: Constraint, op) -> Constraint:
+    """c1 op c2 pointwise, where c2 has c1's variables in any order: over
+    the keys either lists, and the op of the defaults everywhere else."""
+    t1, d1, d2 = c1.table, c1.default, c2.default
+    idx = _indices(c1.vars, c2.vars)
+    t2 = {tuple([key[i] for i in idx]): val for key, val in c2.table.items()}
+    table = {key: op(val, t2.get(key, d2)) for key, val in t1.items()}
+    table.update((key, op(d1, val)) for key, val in t2.items() if key not in t1)
+    default = None if d1 is None or d2 is None else op(d1, d2)
+    return Constraint._unchecked(c1.system, c1.vars, table, default)
 
 
 def tensor_all(constraints: Iterable[Constraint], system: ConstraintSystem) -> Constraint:
@@ -424,16 +440,8 @@ def oplus(c1: Constraint, c2: Constraint) -> Constraint:
         return c2
     if _zero_function(c2):
         return c1
-    if c1.vars == c2.vars:
-        d1, d2 = c1.default, c2.default
-        keys = set(c1.table) | set(c2.table)
-        table = {}
-        for k in keys:
-            table[k] = s.sum(c1.table.get(k, d1), c2.table.get(k, d2))
-        default = None
-        if d1 is not None and d2 is not None:
-            default = s.sum(d1, d2)
-        return Constraint._unchecked(system, c1.vars, table, default)
+    if set(c1.vars) == set(c2.vars):
+        return _join_equal(c1, c2, s.sum)
     union = _union_vars(c1, c2)
     table = {key: s.sum(v1, v2) for key, (v1, v2) in _cells((c1, c2), union, "oplus")}
     return Constraint._unchecked(system, union, table)

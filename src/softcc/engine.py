@@ -4,25 +4,27 @@ The store starts at constant one and only ever moves down the constraint
 order as tells combine new constraints in.  Each tell folds into one of
 its factors, whose supports form an antichain, so n tells cost O(n); best
 level, entailment and projections go through variable elimination so the
-joint table is never built unless it is small.  Each store memoises its
-tells: every schedule that tells the same constraint to the same store
-gets one shared successor, with its key and entailment answers computed
-once.  That is exact, as a fold reads nothing but the store and the
-constraint, and weak, so a store lives only while a run holds it.
+joint table is never built unless it is small.  A store caches only
+what it derives from its own factors (key, hash, width and components);
+each cache below is kept for the work it saves on a benchmark workload,
+counted per pass of that workload.
 
 x is commutative and associative, so schedules that tell the same
 constraints in other orders reach pointwise-equal stores.  Within one
 ``run_all`` call or branch-and-bound session, such stores share their
-"pw" key and entailment and cut answers; factors, projections and a wide
-store's "fs" key, the multiset of its factors' keys, follow the order of
-folding and stay each store's own.  x distributes over +, so there
-entailment and best level also split a store into its components, the
-factors joined by shared variables: a component that shares no variable
-with the asked constraint enters as its best level, a scalar, from the
-session's table, and a tell changes only the components it touches.
-``project``, ``materialize``, ``key`` and ``witness`` never split, as
-their results are printed or keyed.  Stores built any other way share
-nothing and project whole.
+"pw" key and entailment and cut answers (network: 190 ``tensor`` calls
+become 50; genprog: 8,751 ``combine_project`` calls become 6,097, and a
+session shared by the branch-and-bound passes saves 316 more); factors
+and a wide store's "fs" key, the multiset of its factors' keys, follow
+the order of folding and stay each store's own.  x distributes over +,
+so there entailment and best level also split a store into its
+components, the factors joined by shared variables: a component that
+shares no variable with the asked constraint enters as its best level, a
+scalar, from the session's table (network: 820 ``project`` calls become
+76), and a tell changes only the components it touches.  ``project``,
+``materialize``, ``key`` and ``witness`` never split, as their results
+are printed or keyed.  Stores built any other way share nothing and
+project whole.
 
 A configuration is an agent plus a store (plus the fresh-name counters a
 run has used).  ``step`` returns every rule application at once:
@@ -52,7 +54,8 @@ on-path set and its run-class rows hold these numbers.  The memo is
 exact: a configuration is memoised only when none of its runs met an
 on-path repeat or the step bound, with its height (the steps down to its
 deepest running configuration), and reused at depth d only while d +
-height stays below the step bound.  Its traces are chains ((rule,
+height stays below the step bound (genprog: 42,905 expansions become
+5,803; network does not finish without it).  Its traces are chains ((rule,
 configuration), rest) ending in () that share their tails, flattened
 once, at the root.
 
@@ -63,15 +66,17 @@ alone: a choice's branches are asks, so no leaf opens an exists, and
 parallel composition lifts the move unchanged, with the counters of the
 component that moves.  So each ``run_all`` call owns a leaf memo, keyed
 by store identity and leaf: every leaf met again at the same store, in
-any configuration, costs one lookup.  Each entry pins its store, so the
-memo belongs to the exploration and not to the store; the stores it
-holds are freed when the call, or the session that branch and bound
-hands it, ends.  Next to it, each call owns an unfold memo of the work
-that reads no store: a call's body, and a chain of binders opened under
-given fresh counters, with the counters after it.  So each call and
-binder unfolds once per exploration.  The unfold memo goes with the
-call, even in a session: branch and bound's cut passes unfold one
-hash-consed call to different bodies.  ``iter_runs`` yields the runs
+any configuration, costs one lookup, and a tell met again reuses its
+successor store (genprog: 25,819 ``_leaf`` calls become 12,300, and
+6,873 ``tensor`` calls 3,840).  Each entry pins its store, so the memo
+belongs to the exploration and not to the store, and the stores it holds
+are freed when the call ends.  Next to it, each call owns an unfold memo
+of the work that reads no store: a call's body, and a chain of binders
+opened under given fresh counters, with the counters after it.  So each
+call and binder unfolds once per exploration (network: 686
+``substitute`` calls become 32).  Both memos go with the call, even in a
+session: branch and bound's cut passes unfold one hash-consed call to
+different bodies.  ``iter_runs`` yields the runs
 one by one in leftmost order and keeps no memo, so it stays an
 independent oracle.
 ``run_one`` follows a single run under a leftmost or seeded random
@@ -83,7 +88,6 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
@@ -134,9 +138,9 @@ class _Answers:
     ``told`` is the multiset of keys told since an empty root: the set of
     them, and those told more than once with their counts (none when x is
     idempotent, as a repeat then leaves the store as it is).  Stores grown
-    from one exploration's root share the record of their multiset through
-    ``table``, which holds records weakly; any other store has a record of
-    its own, with no table.
+    from one session's root share the record of their multiset through
+    ``table``, the session's; any other store has a record of its own, with
+    no table.
     """
 
     __slots__ = ("table", "told", "pw", "entails", "below", "__weakref__")
@@ -165,20 +169,18 @@ class Store:
     ``told`` holds the canonical key of every told constraint (by default,
     of each given factor); x is intensive, so the store entails each one.
 
-    Each store memoises its tells (see ``tell``), so a repeated tell returns
-    one successor whose key, hash, level, entailment and cut answers are
-    warm.  Stores of one exploration told alike share their pointwise
-    answers (see ``_Answers``) and their components' best levels (see
-    ``_split``).  Two stores are equal when their keys are; two pointwise
-    keyed stores that share one record are equal without a key, as the
-    record holds the "pw" key of both.  What a leaf agent does at the store
-    is memoised by ``run_all``, not here, so that no store keeps the stores
-    its runs reached alive.
+    Stores of one session told alike share their pointwise answers (see
+    ``_Answers``) and their components' best levels (see ``_split``).  Two
+    stores are equal when their keys are; two pointwise keyed stores that
+    share one record are equal without a key, as the record holds the "pw"
+    key of both.  What a leaf agent does at the store is memoised by
+    ``run_all``, not here, so that no store keeps the stores its runs
+    reached alive.
     """
 
     __slots__ = (
-        "system", "factors", "told", "_key", "_hash", "_narrow", "_proj", "_ans",
-        "_tells", "_comps", "_levels", "__weakref__",
+        "system", "factors", "told", "_key", "_hash", "_narrow", "_ans", "_comps", "_levels",
+        "__weakref__",
     )
 
     def __init__(
@@ -188,7 +190,6 @@ class Store:
         self.factors = factors
         self.told = frozenset(f.canonical_key() for f in factors) if told is None else told
         self._key = self._hash = self._narrow = self._comps = None
-        self._proj, self._tells = {}, {}
         self._ans = _Answers() if _answers is None else _answers
         # a session's frozenset of component factor ids -> (factors, best level)
         self._levels = _levels
@@ -202,27 +203,14 @@ class Store:
         supports, and none wider than the widest told constraint.  With an
         idempotent x, re-telling a constraint already told leaves the store
         pointwise unchanged, so the store itself is returned; that keeps
-        repeated tells recognizable as repeats.
-
-        Other results are memoised weakly under c's variables and canonical
-        key; the fold reads nothing else of c, so the memo is exact.  Stores
-        are not interned by ``key()``: equal keys can hide different
-        variables, and so successors on different sides of the pointwise cap.
+        repeated tells recognizable as repeats.  Stores are not interned by
+        ``key()``: equal keys can hide different variables, and so
+        successors on different sides of the pointwise cap.
         """
         ck = c.canonical_key()
         known = ck in self.told
         if known and self.system.semiring.idempotent_times:
             return self
-        memo = (c.vars, ck)
-        ref = self._tells.get(memo)
-        new = ref() if ref is not None else None
-        if new is None:
-            new = self._fold(c, ck, known)
-            self._tells[memo] = weakref.ref(new)
-        return new
-
-    def _fold(self, c: Constraint, ck, known: bool) -> "Store":
-        system = self.system
         told = self.told if known else self.told | {ck}
         ans = self._ans
         answers = None if ans.table is None else ans.after(ck, told)
@@ -234,8 +222,8 @@ class Store:
         else:
             inside = [f for f in self.factors if cv.issuperset(f.vars)]
             rest = tuple(f for f in self.factors if not cv.issuperset(f.vars))
-            folded = rest + (tensor_all(inside + [c], system),)
-        return Store(system, folded, told, _answers=answers, _levels=self._levels)
+            folded = rest + (tensor_all(inside + [c], self.system),)
+        return Store(self.system, folded, told, _answers=answers, _levels=self._levels)
 
     def vars(self) -> tuple:
         factors = self.factors
@@ -249,13 +237,17 @@ class Store:
             self._narrow = self.system.cells(len(self.vars())) <= _POINTWISE_CELLS
         return self._narrow
 
+    def _pw(self) -> tuple:
+        """The "pw" key: the joint table's canonical key, kept in the record."""
+        ans = self._ans
+        if ans.pw is None:
+            ans.pw = ("pw", self.materialize().canonical_key())
+        return ans.pw
+
     def key(self) -> tuple:
         if self._key is None:
             if self._pointwise():
-                ans = self._ans
-                if ans.pw is None:
-                    ans.pw = ("pw", self.materialize().canonical_key())
-                self._key = ans.pw
+                self._key = self._pw()
             else:  # a wide store: the multiset of its factor keys
                 keys = Counter(f.canonical_key() for f in self.factors)
                 self._key = ("fs", frozenset(keys.items()))
@@ -348,16 +340,12 @@ class Store:
             # only a store that entails phi can lie below it, and entailment
             # needs no joint table; then it is strictly below unless it is
             # phi itself, which the canonical key decides (see pointwise_eq)
-            got = below[ck] = self.entails(phi) and ck != self.materialize().canonical_key()
+            got = below[ck] = self.entails(phi) and ck != self._pw()[1]
         return got
 
     def project(self, keep) -> Constraint:
-        """The store projected onto keep, cached by the set of its variables."""
-        k = frozenset(keep)
-        got = self._proj.get(k)
-        if got is None:
-            got = self._proj[k] = combine_project(self.factors, k, self.system)
-        return got
+        """The store projected onto keep."""
+        return combine_project(self.factors, keep, self.system)
 
     def value_at(self, assignment) -> Value:
         s = self.system.semiring
@@ -647,18 +635,17 @@ def initial_configuration(program: Program) -> Configuration:
 
 
 class _Session:
-    """One root store for several explorations of one system, and their
-    leaf memos.  Holding the memos keeps every store they reached alive, so
-    a later exploration meets warm successors in ``Store.tell``'s weak memo;
-    all of it is freed with the session.  The stores grown from the root
-    share their pointwise answers (see ``_Answers``) and one table of
-    component best levels (see ``Store._split``)."""
+    """One root store for several explorations of one system.  The stores
+    grown from it share their pointwise answers through ``answers``, a
+    table from told multiset to record (see ``_Answers``), and one table of
+    component best levels (see ``Store._split``).  Both tables live as long
+    as the session, so a later exploration finds the answers of an earlier
+    one; the stores go with the exploration that reached them."""
 
     def __init__(self, system):
-        table = weakref.WeakValueDictionary()
-        answers = _Answers(table, (frozenset(), frozenset()))
-        self.root = Store(system, _answers=answers, _levels={})
-        self.leaves: List[Dict] = []
+        self.answers: Dict = {}
+        root = _Answers(self.answers, (frozenset(), frozenset()))
+        self.root = Store(system, _answers=root, _levels={})
 
 
 def run_all(
@@ -677,18 +664,16 @@ def run_all(
     alone, exploration ends at the first success it holds for, and the
     result counts the runs met up to and including that one.
 
-    The call owns its leaf memo (see the module docstring), which goes
-    with it unless ``_session``, a private ``_Session``, holds the memo
-    and supplies the root store; without one, the call runs in a session
-    of its own.  It also owns an unfold memo, so each call and binder
-    unfolds once in the exploration; that memo always goes with the call.
+    ``_session``, a private ``_Session``, supplies the root store, and so
+    the answers of earlier explorations; without one, the call runs in a
+    session of its own.  The call owns its leaf and unfold memos (see the
+    module docstring), and they go with it.
     """
     main = _main(program)
     session = _Session(program.system) if _session is None else _session
-    leaves: Dict[int, tuple] = {}  # id(store) -> (store, {leaf: (moves, waiting)})
-    session.leaves.append(leaves)
-    # the unfold memo: call -> body, and (exists, fresh) -> (opened agent, fresh)
-    step_memo = leaves, {}
+    # the leaf memo: id(store) -> (store, {leaf: (moves, waiting)}), and the
+    # unfold memo: call -> body, and (exists, fresh) -> (opened agent, fresh)
+    step_memo = {}, {}
     init = Configuration("running", main, session.root)
     heads: Dict = {}  # the state table, see _number
     cfgs: List[Configuration] = []

@@ -190,12 +190,11 @@ def solve_bb(
     Runs are counted leftmost first, as path enumeration meets them.  The
     returned constraint pointwise equals the +-fold over all successes.
 
-    Every pass starts from one root store, in one session that keeps each
-    pass's leaf memo, and so every store it reached, alive until the call
-    returns: later passes re-tell onto warm stores.  Each pass keeps leaf
-    and unfold memos of its own, as the cut programs unfold one call to
-    different bodies.  ``_session`` hands on the session of an earlier exploration
-    of the same program, as ``scc bb`` does.
+    Every pass starts from one root store, in one session, so later passes
+    find the answers of the stores earlier passes reached (see
+    ``engine._Session``); the stop test's projection of the accepted
+    success goes into psi as it is.  ``_session`` hands on the session of
+    an earlier exploration of the same program, as ``scc bb`` does.
     """
     if program.main is None:
         raise ObserveError("program has no agent to run")
@@ -210,9 +209,14 @@ def solve_bb(
     obs = observation_vars(program)
     psi = system.constant(system.semiring.zero)
     stats = BBStats()
+    found: List[Constraint] = []  # the projection of the success a pass stopped at
 
     def new(store) -> bool:
-        return not leqc(store.project(obs), psi)
+        proj = store.project(obs)
+        if leqc(proj, psi):
+            return False
+        found.append(proj)
+        return True
 
     while True:
         # at the zero bound the cut raises nothing, so the first pass runs program
@@ -220,10 +224,9 @@ def solve_bb(
         res = run_all(cut, limits, stop=new, _session=session)
         stats.runs_explored += res.total_runs
         stats.runs_pruned += sum(r.pruned for r in res.records)
-        found = [r.store for r in res.records if r.kind == "success" and new(r.store)]
         if not found:
             return psi, stats
-        psi = oplus(psi, found[0].project(obs))
+        psi = oplus(psi, found.pop())
         stats.iterations += 1
 
 

@@ -588,6 +588,33 @@ def test_wide_stores_are_ordered_by_observe_and_bb(tmp_path, capsys):
     assert dk and dk == [ln for ln in lines if ln.startswith("dk: ")]
 
 
+def test_wide_tables_with_nonzero_defaults_join_over_their_rows(tmp_path, capsys):
+    # two 50-row tables over the same 20 variables, listed in opposite
+    # orders, with defaults 0.5 and 0.7: their product, and the sum of the
+    # two stores that tell one each, list the rows of either and take the
+    # defaults' product or sum elsewhere, without walking 2^20 cells
+    rng = random.Random("wide defaults")
+    names = [f"x{i}" for i in range(20)]
+
+    def table(name, vs, default):
+        keys = {", ".join(rng.choice("ab") for _ in vs) for _ in range(50)}
+        body = "".join(f"  ({k}) = {rng.choice((0.2, 0.6, 0.9))};\n" for k in sorted(keys))
+        return f"constraint {name}({', '.join(vs)}) {{\n{body}  default = {default};\n}}\n"
+
+    backward = names[::-1]
+    head = (
+        f"semiring fuzzy;\ndomain {{a, b}};\nvar {', '.join(names)};\n"
+        + table("c", names, 0.5) + table("d", backward, 0.7)
+    )
+    c, d = f"tell(c({', '.join(names)}))", f"tell(d({', '.join(backward)}))"
+    both = write(tmp_path, head + f"agent = {c} -> {d} -> stop;\n", "both.scc")
+    either = write(tmp_path, head + f"agent = ask(const(1)) -> {c} -> stop + ask(const(1)) -> {d} -> stop;\n")
+    for command, path, default in (("run", both, 0.5), ("observe", both, 0.5), ("observe", either, 0.7)):
+        code, out, err = run_main(capsys, command, path)
+        assert (code, err) == (0, ""), command
+        assert f" default={default}" in out.splitlines()[-2 if command == "observe" else -1], command
+
+
 def test_bb_rejects_level_thresholds(tmp_path, capsys):
     path = write(tmp_path, "semiring fuzzy;\ndomain {a};\nvar x;\n"
                            "agent = tell(const(0.9)) ->^0.5 stop;\n")

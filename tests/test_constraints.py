@@ -809,6 +809,30 @@ def test_row_wise_join_counts_its_rows_against_the_bound(monkeypatch):
         assert got.eval({"x": x, "y": y, "z": z}) == want
 
 
+def test_equal_variable_joins_match_their_cells(monkeypatch):
+    # two tables over one variable set, in either order and with any
+    # defaults, join over the keys either lists, under x and under +: the
+    # same function as the join over every cell, though it walks none
+    shapes = ("dense", "zero", "nonzero")
+    cases = []
+    for system in small_systems():
+        s = system.semiring
+        rng = random.Random(repr(("equal-join", s.kind, len(system.domain))))
+        for sh1, sh2 in itertools.product(shapes, repeat=2):
+            for n in (1, 2, 3):
+                v1 = tuple(rng.sample(("x", "y", "z"), n))
+                c1 = _shaped(system, rng, v1, sh1)
+                c2 = _shaped(system, rng, tuple(rng.sample(v1, n)), sh2)
+                for join, op in ((tensor, s.combine), (oplus, s.sum)):
+                    cells = constraints._cells((c1, c2), v1, join.__name__)
+                    want = Constraint(system, v1, {k: op(a, b) for k, (a, b) in cells})
+                    cases.append((join, c1, c2, want))
+    monkeypatch.setattr(constraints, "MAX_CELLS", 0)
+    for join, c1, c2, want in cases:
+        got = join(c1, c2)
+        assert pointwise_eq(got, want)
+
+
 def _lowered(c1, c2, cells):
     """c1 combined, cell by cell, with the least value c2 takes over the
     cell's extensions, and its default with the least value of c2 anywhere;

@@ -420,31 +420,14 @@ def test_store_fold_matches_the_dense_joint_table():
                 a <= b for i, a in enumerate(supports) for j, b in enumerate(supports) if i != j
             )
             assert len(supports) <= len({frozenset(c.vars) for c in told})
-            # one projection cache per store, keyed by the set kept
             keep = rng.sample(("w", "x", "y", "z"), rng.randrange(0, 5))
             assert pointwise_eq(store.project(keep), project(joint, keep))
-            assert store.project(keep) is store.project(tuple(reversed(keep)))
-            assert store.materialize() is store.project(store.vars())
-
-
-def test_store_tells_are_memoised():
-    sysf = ConstraintSystem(FUZZY, ("a", "b"))
-    s = Store(sysf)
-    c = sysf.constant(0.5)
-    assert s.tell(c) is s.tell(c)
-    s1 = s.tell(c)
-    assert s1.tell(c) is s1  # the idempotent re-tell comes before the memo
-    # the memo holds its results weakly: nothing outlives the last holder
-    gone = weakref.ref(s.tell(sysf.constant(0.7)))
-    gc.collect()
-    assert gone() is None
-    assert s.tell(sysf.constant(0.7)).blevel() == pytest.approx(0.7)
 
 
 def test_store_memo_matches_a_fresh_fold():
-    # tells from a pool, repeated from the same stores, give what a store
-    # with an empty memo computes; the pool holds copies of one function
-    # under a permuted variable tuple, which fold to different factors
+    # tells from a pool, repeated from the same stores, give what a fresh
+    # store over the same factors computes; the pool holds copies of one
+    # function under a permuted variable tuple, which fold to different factors
     rng = random.Random("store-memo")
 
     def shape(store):
@@ -470,7 +453,6 @@ def test_store_memo_matches_a_fresh_fold():
     for c in wide + wide[:3]:
         got = store.tell(c)
         assert shape(got) == shape(Store(sysf, store.factors, store.told).tell(c))
-        assert store.tell(c) is got
         store = got
     assert store.key()[0] == "fs"
 
@@ -541,14 +523,15 @@ def test_run_all_compares_few_stores_at_a_head_with_many(monkeypatch):
     assert calls[0] <= 2 * got.expansions
 
 
-def test_solve_bb_on_the_network_fixture_passes_warm_stores(monkeypatch):
-    # the second pass re-tells onto the stores the first pass reached, kept
-    # alive by the session.  The work is counted, not timed.
+def test_solve_bb_on_the_network_fixture_bounds_its_tensor_calls(monkeypatch):
+    # two passes over a billion schedules tell and ask on a few hundred
+    # stores; the leaf memo, the shared answers and the component levels
+    # keep the work per store small.  The work is counted, not timed.
     calls = count_calls(monkeypatch, constraints.tensor)
     p = parse_program((ROOT / "fixtures" / "network.scc").read_text())
     _, stats = solve_bb(p)
     assert (stats.iterations, stats.runs_explored) == (1, 1_220_424_505)
-    assert calls[0] <= 1_000  # 1,116 when every pass started from a cold root store
+    assert calls[0] <= 1_000  # 362; 753 when stores told alike share no answers
 
 
 def test_solve_bb_frees_its_session_stores(monkeypatch):
@@ -584,6 +567,45 @@ def test_solve_bb_cuts_only_at_a_raised_bound(monkeypatch):
     _, stats = solve_bb(p)
     assert stats.iterations >= 1 and len(programs) == stats.iterations + 1
     assert programs[0] is p and all(q is not p for q in programs[1:])
+
+
+def test_solve_bb_projects_each_store_it_tests_once(monkeypatch):
+    # the stop test projects each success it meets onto the observed
+    # variables, and the bound takes the accepted one's projection as it
+    # is: solve_bb projects no store again.  The calls are counted per pass.
+    observe_module = importlib.import_module("softcc.observe")
+    original_run_all, original_project = observe_module.run_all, Store.project
+    passes = []  # per pass: [stop tests, projections made by solve_bb itself]
+    exploring = [False]  # inside run_all, outside its stop test
+
+    def project(store, keep):
+        if not exploring[0]:
+            passes[-1][1] += 1
+        return original_project(store, keep)
+
+    def recording(program, limits, stop, **kwargs):
+        def counted(store):
+            passes[-1][0] += 1
+            exploring[0] = False
+            try:
+                return stop(store)
+            finally:
+                exploring[0] = True
+
+        passes.append([0, 0])
+        exploring[0] = True
+        try:
+            return original_run_all(program, limits, stop=counted, **kwargs)
+        finally:
+            exploring[0] = False
+
+    monkeypatch.setattr(Store, "project", project)
+    monkeypatch.setattr(observe_module, "run_all", recording)
+    _, stats = solve_bb(prog(*BB_CALL_PROGRAMS[0]))
+    assert stats.iterations >= 1 and len(passes) == stats.iterations + 1
+    for tests, projections in passes:
+        assert tests >= 1
+        assert projections == tests  # not again for the bound, nor to filter the records
 
 
 def test_run_all_without_an_agent_is_an_error():
@@ -789,12 +811,26 @@ def test_only_explorations_share_answers():
         assert all(cfg.store._ans.table is not None for _, cfg in rec.trace)
 
 
-def test_run_all_frees_its_stores_and_records():
+def test_run_all_frees_its_stores_and_records(monkeypatch):
+    # the answers table is a plain dict, which takes no weak reference; it
+    # holds each record it is given and never drops one, so a record of it
+    # that is freed shows the table freed.  Its owner, the session, goes too
+    engine_module = importlib.import_module("softcc.engine")
+    sessions = []
+
+    class Recorded(_Session):
+        def __init__(self, system):
+            super().__init__(system)
+            sessions.append((weakref.ref(self), id(self.answers)))
+
+    monkeypatch.setattr(engine_module, "_Session", Recorded)
     p = prog("(tell(c(x)) -> stop || tell(c(y)) -> stop)", DEEP_EXTRA)
     result = run_all(p)
     store = result.records[0].store
-    refs = [weakref.ref(x) for x in (store, store._ans, store._ans.table)]
+    ((session, table_id),) = sessions
+    assert id(store._ans.table) == table_id
     assert store._ans.table[store._ans.told] is store._ans
+    refs = [weakref.ref(store), weakref.ref(store._ans), session]
     del result, store
     gc.collect()
     assert [r() for r in refs] == [None, None, None]
