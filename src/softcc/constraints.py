@@ -3,25 +3,27 @@
 A constraint maps assignments of its support variables to semiring values.
 Tables are dicts keyed by tuples of domain atoms in support order.  A
 constraint either lists every tuple (dense, ``default is None``) or lists
-some tuples and falls back to ``default`` for the rest.  Keeping the
-default equal to the semiring zero lets combination and projection work
-row-wise on the listed tuples only, which is what makes larger variable
-counts affordable.
+some tuples and falls back to ``default`` for the rest.
 
 The algebra: ``tensor`` combines pointwise with x, ``oplus`` with +,
 ``project`` sums out eliminated variables, ``hide`` removes one variable,
 ``leqc`` is the induced constraint order, equality is ``canonical_key``
 equality (``pointwise_eq``; values are exact, so keys hold them as they
 are), and ``entails`` asks whether a set of constraints forces another one.
-The order compares listed rows with the least value over their extensions,
-so it answers at any width.  ``combine_project`` combines a factor list and
-projects in one pass via variable elimination so the full joint table never
-needs to exist; the factors of each bucket join in factor order.  ``tensor`` joins the listed
-rows: by direct lookup when the second support lies inside the first, as
-every fold of a tell into a store factor does, through buckets on the
-shared variables otherwise, and over either's keys for equal supports.
-Every operation that walks the cells of a joint table does so through
-``_cells``; the order walks none.
+Every kernel works from the rows a table lists plus its default.
+``tensor``, ``oplus`` and ``glb`` share one row-wise outer join,
+``_join``: each side's rows meet the other's rows and default, and the
+cells neither lists take the defaults' result.  A default that absorbs the
+operation, as the zero absorbs x, lists nothing, so dense and zero-default
+tables join over their listed rows alone.  ``project`` adds each kept key's
+listed rows, and the default where the key has an unlisted extension; +
+is idempotent, so that is the + over every extension.  The order compares
+listed rows with the least value over their extensions, so it answers at
+any width.  ``combine_project`` combines a factor list and projects in one
+pass via variable elimination so the full joint table never needs to
+exist; the factors of each bucket join in factor order.
+``entails_witness`` pins one variable at a time by entailment tests.  No
+operation walks the cells of a union of supports.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .semiring import Semiring, Value
 
 Atom = Union[str, int]
 
-# Dense enumeration fallbacks refuse to materialize beyond this many cells.
+# A join refuses to build more rows than this.
 MAX_CELLS = 500_000
 
 
@@ -47,7 +49,7 @@ class IncompleteConstraintError(ConstraintError):
 
 
 class TooLargeError(ConstraintError):
-    """An operation would need to enumerate more cells than MAX_CELLS."""
+    """A join would build more rows than MAX_CELLS."""
 
 
 def _atom_key(a: Atom):
@@ -288,43 +290,10 @@ class Constraint:
 # -- helpers -----------------------------------------------------------
 
 
-def _sparse_ok(c: Constraint) -> bool:
-    # Row-wise algorithms apply when everything unlisted is the zero.
-    if c.default is None:
-        return True  # dense: every tuple is listed
-    return c.system.semiring.eq(c.default, c.system.semiring.zero)
-
-
 def _zero_function(c: Constraint) -> bool:
     """True when the constraint takes the zero value everywhere."""
-    s = c.system.semiring
-    if not _sparse_ok(c):
-        return False
-    return all(s.eq(v, s.zero) for v in c.table.values())
-
-
-def _union_vars(c1: Constraint, c2: Constraint) -> tuple:
-    return c1.vars + tuple(v for v in c2.vars if v not in c1.vars)
-
-
-def _indices(sub: Sequence[str], into: Sequence[str]):
-    pos = {v: i for i, v in enumerate(into)}
-    return [pos[v] for v in sub]
-
-
-def _cells(constraints: Sequence[Constraint], union: Sequence[str], what: str):
-    """Every assignment of union, in product order, with each constraint's value there.
-
-    Yields ``(key, values)``.  A dense constraint lists every tuple, so no
-    value is ever missing.
-    """
-    system = constraints[0].system
-    n = len(union)
-    if system.cells(n) > MAX_CELLS:
-        raise TooLargeError(f"{what} over {n} variables is too large")
-    looks = [(c.table, c.default, _indices(c.vars, union)) for c in constraints]
-    for key in itertools.product(system.domain, repeat=n):
-        yield key, [t.get(tuple([key[i] for i in idx]), d) for t, d, idx in looks]
+    zero = c.system.semiring.zero
+    return (c.default is None or c.default == zero) and all(v == zero for v in c.table.values())
 
 
 def rename(c: Constraint, mapping: Mapping[str, str]) -> Constraint:
@@ -350,77 +319,101 @@ def rename(c: Constraint, mapping: Mapping[str, str]) -> Constraint:
 # -- the algebra -------------------------------------------------------
 
 
-def tensor(c1: Constraint, c2: Constraint) -> Constraint:
-    """Pointwise combination with x over the union of supports.
+def _join(c1: Constraint, c2: Constraint, op, absorb, what: str) -> Constraint:
+    """c1 op c2 pointwise over the union of supports, from the rows each lists.
 
-    When everything unlisted is the zero, the join runs over listed rows
-    alone.  If c2's variables all lie in c1's, each row of c1 meets at most
-    one row of c2 and looks it up directly (by its own key when the
-    variables are the same, in the same order); otherwise the rows of c2
-    are bucketed by the variables the two share, and the output is counted
-    before it is built, so that it too keeps to ``MAX_CELLS``.  Equal
-    variable sets join as ``_join_equal`` does, whatever the defaults.
+    Each listed row of c1 meets c2's rows at its key, and c2's default at
+    every other extension; each listed row of c2 meets c1's default at every
+    key that c1 leaves unlisted; every other cell takes op of the defaults.
+    ``absorb`` is the value that absorbs op: a default equal to it lists
+    nothing, since every cell it meets takes it.  Where a side is dense,
+    that side's rows reach every cell, and absorb is the output default
+    (None keeps such an output dense).  Rows equal to the output default are
+    dropped.  When c2's variables lie in c1's, each row of c1 meets one key
+    of c2 and looks it up; otherwise c2's rows are bucketed by the shared
+    variables.  The rows are counted against ``MAX_CELLS`` before any is
+    built.
     """
     system = c1.system
     if system is not c2.system and (
         system.semiring is not c2.system.semiring or system.domain != c2.system.domain
     ):
         raise ConstraintError("constraints belong to different systems")
-    s = system.semiring
-    if _sparse_ok(c1) and _sparse_ok(c2):
-        combine, eq, zero = s.combine, s.eq, s.zero
-        v1, v2, t2 = c1.vars, c2.vars, c2.table
-        table = {}
-        extra = [i for i, v in enumerate(v2) if v not in v1]
-        if not extra:
-            same = v1 == v2
-            idx = [v1.index(v) for v in v2]
-            for key1, val1 in c1.table.items():
-                val2 = t2.get(key1 if same else tuple([key1[i] for i in idx]))
-                if val2 is not None:
-                    v = combine(val1, val2)
-                    if not eq(v, zero):
-                        table[key1] = v
-            return Constraint._unchecked(system, v1, table, zero)
-        shared = [v for v in v2 if v in v1]
-        i1 = _indices(shared, v1)
-        i2 = _indices(shared, v2)
+    v1, v2, t1, t2, d1, d2 = c1.vars, c2.vars, c1.table, c2.table, c1.default, c2.default
+    d = absorb if d1 is None or d2 is None else op(d1, d2)
+    miss = None if d2 is None or d2 == absorb else d2  # what c1's rows meet where c2 lists nothing
+    same = v1 == v2
+    extra = () if same else [j for j, v in enumerate(v2) if v not in v1]
+    i2 = [j for j, v in enumerate(v2) if v in v1] if extra else range(len(v2))  # shared
+    i1 = i2 if same else [v1.index(v2[j]) for j in i2]  # the same variables in c1
+    rows, fills = 0, []
+    if d1 is not None and d1 != absorb:
+        # c2's rows meet d1 at the keys c1 leaves unlisted
+        per = system.cells(len(v1) - len(i1))
+        listed = Counter(tuple([k[i] for i in i1]) for k in t1)
+        for key2, val2 in t2.items():
+            v = op(d1, val2)
+            if v != d:
+                shared = tuple([key2[j] for j in i2])
+                fills.append((shared, tuple([key2[j] for j in extra]), v))
+                rows += per - listed[shared]
+    if not extra:
+        rows += len(t1)
+    else:
         buckets = {}
         for key2, val2 in t2.items():
-            buckets.setdefault(tuple([key2[i] for i in i2]), []).append(
-                (tuple([key2[i] for i in extra]), val2)
-            )
-        met, rows = [], 0
-        for key1, val1 in c1.table.items():
-            bucket = buckets.get(tuple([key1[i] for i in i1]))
-            if bucket is not None:
-                met.append((key1, val1, bucket))
+            shared, ext = tuple([key2[j] for j in i2]), tuple([key2[j] for j in extra])
+            buckets.setdefault(shared, {})[ext] = val2
+        per, met = system.cells(len(extra)), []
+        for key1, val1 in t1.items():
+            bucket = buckets.get(tuple([key1[i] for i in i1]), {})
+            rest = d if miss is None else op(val1, miss)  # at the extensions c2 leaves unlisted
+            if rest != d:
+                rows += per - len(bucket)
+            if bucket or rest != d:
+                met.append((key1, val1, bucket, rest))
                 rows += len(bucket)
-        if rows > MAX_CELLS:
-            raise TooLargeError(f"tensor over {len(v1) + len(extra)} variables is too large")
-        for key1, val1, bucket in met:
-            for ext, val2 in bucket:
-                v = combine(val1, val2)
-                if not eq(v, zero):
+    if rows > MAX_CELLS:
+        raise TooLargeError(f"{what} over {len(v1) + len(extra)} variables is too large")
+    table = {}
+    if not extra:
+        for key1, val1 in t1.items():
+            val2 = t2.get(key1 if same else tuple([key1[i] for i in i1]), miss)
+            if val2 is not None:
+                v = op(val1, val2)
+                if v != d:
+                    table[key1] = v
+    else:
+        for key1, val1, bucket, rest in met:
+            for ext, val2 in bucket.items():
+                v = op(val1, val2)
+                if v != d:
                     table[key1 + ext] = v
-        return Constraint._unchecked(system, v1 + tuple(v2[i] for i in extra), table, zero)
-    if set(c1.vars) == set(c2.vars):
-        return _join_equal(c1, c2, s.combine)
-    union = _union_vars(c1, c2)
-    table = {key: s.combine(a, b) for key, (a, b) in _cells((c1, c2), union, "tensor")}
-    return Constraint._unchecked(system, union, table)
+            if rest != d:
+                for ext in itertools.product(system.domain, repeat=len(extra)):
+                    if ext not in bucket:
+                        table[key1 + ext] = rest
+    if fills:
+        only1 = [i for i in range(len(v1)) if i not in i1]
+        order = [*i1, *only1]
+        perm = [order.index(i) for i in range(len(v1))]
+        for shared, ext, v in fills:
+            for e in itertools.product(system.domain, repeat=len(only1)):
+                cell = shared + e
+                key1 = tuple([cell[i] for i in perm])
+                if key1 not in t1:
+                    table[key1 + ext] = v
+    out = v1 + tuple([v2[j] for j in extra]) if extra else v1
+    return Constraint._unchecked(system, out, table, d)
 
 
-def _join_equal(c1: Constraint, c2: Constraint, op) -> Constraint:
-    """c1 op c2 pointwise, where c2 has c1's variables in any order: over
-    the keys either lists, and the op of the defaults everywhere else."""
-    t1, d1, d2 = c1.table, c1.default, c2.default
-    idx = _indices(c1.vars, c2.vars)
-    t2 = {tuple([key[i] for i in idx]): val for key, val in c2.table.items()}
-    table = {key: op(val, t2.get(key, d2)) for key, val in t1.items()}
-    table.update((key, op(d1, val)) for key, val in t2.items() if key not in t1)
-    default = None if d1 is None or d2 is None else op(d1, d2)
-    return Constraint._unchecked(c1.system, c1.vars, table, default)
+def tensor(c1: Constraint, c2: Constraint) -> Constraint:
+    """Pointwise combination with x over the union of supports: ``_join``
+    with the zero, which absorbs x, so dense and zero-default tables join
+    over their listed rows alone, and a tell folds into a store factor by
+    lookup."""
+    s = c1.system.semiring
+    return _join(c1, c2, s.combine, s.zero, "tensor")
 
 
 def tensor_all(constraints: Iterable[Constraint], system: ConstraintSystem) -> Constraint:
@@ -432,19 +425,14 @@ def tensor_all(constraints: Iterable[Constraint], system: ConstraintSystem) -> C
 
 
 def oplus(c1: Constraint, c2: Constraint) -> Constraint:
-    """Pointwise choice with + over the union of supports."""
-    system = c1.system
-    s = system.semiring
-    # the zero function is the unit of +, pointwise
+    """Pointwise choice with + over the union of supports; the zero
+    function, the unit of +, returns the other side.  A sum with a dense
+    side lists every cell."""
     if _zero_function(c1):
         return c2
     if _zero_function(c2):
         return c1
-    if set(c1.vars) == set(c2.vars):
-        return _join_equal(c1, c2, s.sum)
-    union = _union_vars(c1, c2)
-    table = {key: s.sum(v1, v2) for key, (v1, v2) in _cells((c1, c2), union, "oplus")}
-    return Constraint._unchecked(system, union, table)
+    return _join(c1, c2, c1.system.semiring.sum, None, "oplus")
 
 
 def oplus_all(constraints: Iterable[Constraint], system: ConstraintSystem) -> Constraint:
@@ -456,7 +444,13 @@ def oplus_all(constraints: Iterable[Constraint], system: ConstraintSystem) -> Co
 
 
 def project(c: Constraint, keep: Iterable[str]) -> Constraint:
-    """Sum out every support variable not in keep (the + over extensions)."""
+    """Sum out every support variable not in keep (the + over extensions).
+
+    + is idempotent, so each kept key takes the + of its listed rows, with
+    the default added in when the key has an unlisted extension; a kept key
+    with no listed rows takes the default.  Sums equal to the default are
+    dropped.
+    """
     keepset = set(keep)
     system = c.system
     s = system.semiring
@@ -464,22 +458,18 @@ def project(c: Constraint, keep: Iterable[str]) -> Constraint:
     if len(keep_idx) == len(c.vars):
         return c
     new_vars = tuple(c.vars[i] for i in keep_idx)
-    if _sparse_ok(c):
-        groups = {}
-        for key, val in c.table.items():
-            nk = tuple(key[i] for i in keep_idx)
-            groups[nk] = s.sum(groups[nk], val) if nk in groups else val
-        if c.default is None:
-            return Constraint._unchecked(system, new_vars, groups)
-        # unlisted extensions contribute the zero default, the unit of +
-        zero = s.zero
-        groups = {k: v for k, v in groups.items() if not s.eq(v, zero)}
-        return Constraint._unchecked(system, new_vars, groups, zero)
+    add, d = s.sum, c.default
     groups = {}
-    for key, (val,) in _cells((c,), c.vars, "projection"):
-        nk = tuple(key[i] for i in keep_idx)
-        groups[nk] = s.sum(groups[nk], val) if nk in groups else val
-    return Constraint._unchecked(system, new_vars, groups)
+    for key, val in c.table.items():
+        nk = tuple([key[i] for i in keep_idx])
+        groups[nk] = add(groups[nk], val) if nk in groups else val
+    if d is None:
+        return Constraint._unchecked(system, new_vars, groups)
+    if d != s.zero:  # the zero is the unit of +, so adding it in changes nothing
+        per = system.cells(len(c.vars) - len(keep_idx))
+        rows = Counter(tuple([key[i] for i in keep_idx]) for key in c.table)
+        groups = {k: v if rows[k] == per else add(v, d) for k, v in groups.items()}
+    return Constraint._unchecked(system, new_vars, {k: v for k, v in groups.items() if v != d}, d)
 
 
 def hide(c: Constraint, x: str) -> Constraint:
@@ -553,21 +543,17 @@ def strictly_below(c1: Constraint, c2: Constraint) -> bool:
 
 
 def glb(constraints: Sequence[Constraint], system: ConstraintSystem) -> Constraint:
-    """Pointwise greatest lower bound; the carriers here are chains, so min."""
+    """Pointwise greatest lower bound; the carriers here are chains, so min.
+
+    A fold of ``_join`` under min, which the zero absorbs.
+    """
     if not constraints:
         return system.constant(system.semiring.one)
     s = system.semiring
-    union: tuple = ()
-    for c in constraints:
-        union = union + tuple(v for v in c.vars if v not in union)
-    table = {}
-    for key, vals in _cells(constraints, union, "glb"):
-        best = vals[0]
-        for v in vals[1:]:
-            if s.leq(v, best):
-                best = v
-        table[key] = best
-    return Constraint._unchecked(system, union, table)
+    acc, *rest = constraints
+    for c in rest:
+        acc = _join(acc, c, lambda a, b: b if s.leq(b, a) else a, s.zero, "glb")
+    return acc
 
 
 # -- factored combination ----------------------------------------------
@@ -635,20 +621,24 @@ def entails_witness(
     """An assignment refuting entailment, or None when the set entails c.
 
     The witness is the first counterexample in variable-sorted,
-    domain-declaration order over the union of supports.
+    domain-declaration order over the union of supports.  It is found by
+    conditioning: each variable in turn is pinned to the first atom at which
+    the pinned set still fails to entail c, one ``entails`` call per atom
+    tried, so no joint table is built.  The last atom needs no test.
     """
     if entails(constraints, c):
         return None
-    s = constraints[0].system.semiring
-    union = []
-    for f in constraints:
-        union.extend(v for v in f.vars if v not in union)
-    union.extend(v for v in c.vars if v not in union)
-    union = sorted(union)
-    for key, vals in _cells([*constraints, c], union, "witness search"):
-        if not s.leq(s.combine_all(vals[:-1]), vals[-1]):
-            return dict(zip(union, key))
-    return None
+    system = constraints[0].system
+    s = system.semiring
+    pinned, witness = list(constraints), {}
+    for v in sorted({v for f in (*constraints, c) for v in f.vars}):
+        for a in system.domain:
+            pin = Constraint._unchecked(system, (v,), {(a,): s.one}, s.zero)
+            if a == system.domain[-1] or not entails(pinned + [pin], c):
+                break
+        pinned.append(pin)
+        witness[v] = a
+    return witness
 
 
 def refutes_entailment(

@@ -615,6 +615,28 @@ def test_wide_tables_with_nonzero_defaults_join_over_their_rows(tmp_path, capsys
         assert f" default={default}" in out.splitlines()[-2 if command == "observe" else -1], command
 
 
+def test_split_support_tables_with_nonzero_defaults_join_over_their_rows(tmp_path, capsys):
+    # two 50-row tables over twelve variables each, sharing four, with
+    # defaults 0.5 and 0.7: each row meets the other's rows and default
+    # over its 2^8 extensions, without walking the 2^20 cells of the union
+    rng = random.Random("split defaults")
+    names = [f"v{i}" for i in range(20)]
+    lines = [f"semiring fuzzy;\ndomain {{a, b}};\nvar {', '.join(names)};"]
+    tells = []
+    for name, vs, default in (("c", names[:12], 0.5), ("d", names[8:], 0.7)):
+        keys = {", ".join(rng.choice("ab") for _ in vs) for _ in range(50)}
+        rows = " ".join(f"({k}) = {rng.choice((0.2, 0.6, 0.9))};" for k in sorted(keys))
+        lines.append(f"constraint {name}({', '.join(vs)}) {{ {rows} default = {default}; }}")
+        tells.append(f"tell({name}({', '.join(vs)}))")
+    lines.append(f"agent = {' -> '.join(tells)} -> stop;")
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    for command in ("run", "observe", "bb"):
+        code, out, err = run_main(capsys, command, path)
+        assert (code, err) == (0, ""), command
+        (joint,) = [ln for ln in out.splitlines() if ln.startswith(("store: ", "dk: "))]
+        assert joint.endswith(" default=0.5"), command
+
+
 def test_bb_rejects_level_thresholds(tmp_path, capsys):
     path = write(tmp_path, "semiring fuzzy;\ndomain {a};\nvar x;\n"
                            "agent = tell(const(0.9)) ->^0.5 stop;\n")

@@ -779,8 +779,24 @@ def test_too_large_guard():
         )
         for i in range(7)
     ]
-    with pytest.raises(TooLargeError):
-        tensor_all(cs, big)
+    # the chain joins over its listed rows: ten rows over eight variables,
+    # the diagonal, and the default 0.5 everywhere else
+    joint = tensor_all(cs, big)
+    assert len(joint.table) == 10 and joint.default == 0.5
+    rng = random.Random("chain")
+    names = [f"v{i}" for i in range(8)]
+    samples = [dict.fromkeys(names, j) for j in big.domain]
+    for _ in range(200):
+        a = {v: rng.choice(big.domain) for v in names}
+        samples += [a, {**a, rng.choice(names): a["v0"]}]
+    for a in samples:
+        assert joint.eval(a) == min(c.eval(a) for c in cs)
+    # the same function listed densely really joins past MAX_CELLS, at
+    # 10^6 rows over six variables, and is refused before they are built
+    pairs = list(itertools.product(big.domain, repeat=2))
+    dense = [Constraint(big, c.vars, {k: c.eval(dict(zip(c.vars, k))) for k in pairs}) for c in cs]
+    with pytest.raises(TooLargeError, match="tensor over 6 variables is too large"):
+        tensor_all(dense, big)
     # variable elimination keeps the same query affordable
     out = combine_project(cs, ["v0"], big)
     assert out.eval({"v0": 3}) == pytest.approx(1.0)
@@ -809,28 +825,40 @@ def test_row_wise_join_counts_its_rows_against_the_bound(monkeypatch):
         assert got.eval({"x": x, "y": y, "z": z}) == want
 
 
-def test_equal_variable_joins_match_their_cells(monkeypatch):
-    # two tables over one variable set, in either order and with any
-    # defaults, join over the keys either lists, under x and under +: the
-    # same function as the join over every cell, though it walks none
+def test_joins_match_their_cells():
+    # tensor, oplus and glb of two tables, and project of each onto every
+    # subset of its variables, against their definitions cell by cell: the
+    # row-wise join and projection fill in the defaults of either side, for
+    # every relation of supports and all nine pairs of shapes
+    pool = ("x", "y", "z", "w")
+    kinds = ("same", "permuted", "inside", "containing", "overlapping", "disjoint", "empty")
     shapes = ("dense", "zero", "nonzero")
-    cases = []
     for system in small_systems():
         s = system.semiring
-        rng = random.Random(repr(("equal-join", s.kind, len(system.domain))))
-        for sh1, sh2 in itertools.product(shapes, repeat=2):
-            for n in (1, 2, 3):
-                v1 = tuple(rng.sample(("x", "y", "z"), n))
-                c1 = _shaped(system, rng, v1, sh1)
-                c2 = _shaped(system, rng, tuple(rng.sample(v1, n)), sh2)
-                for join, op in ((tensor, s.combine), (oplus, s.sum)):
-                    cells = constraints._cells((c1, c2), v1, join.__name__)
-                    want = Constraint(system, v1, {k: op(a, b) for k, (a, b) in cells})
-                    cases.append((join, c1, c2, want))
-    monkeypatch.setattr(constraints, "MAX_CELLS", 0)
-    for join, c1, c2, want in cases:
-        got = join(c1, c2)
-        assert pointwise_eq(got, want)
+        rng = random.Random(repr(("joins", s.kind, len(system.domain))))
+
+        def meet(a, b):
+            return b if s.leq(b, a) else a
+
+        for kind, (sh1, sh2) in itertools.product(kinds, itertools.product(shapes, repeat=2)):
+            v1 = tuple(rng.sample(pool, 2))
+            c1 = _shaped(system, rng, v1, sh1)
+            c2 = _shaped(system, rng, _second_support(rng, v1, kind, pool), sh2)
+            union = tuple(dict.fromkeys(c1.vars + c2.vars))
+            joins = ((tensor(c1, c2), s.combine), (oplus(c1, c2), s.sum), (glb([c1, c2], system), meet))
+            for got, op in joins:
+                for a in _cells_of(system, union):
+                    assert got.eval(a) == op(c1.eval(a), c2.eval(a)), (kind, sh1, sh2, op)
+            for c in (c1, c2):
+                for n in range(len(c.vars) + 1):
+                    for keep in itertools.combinations(c.vars, n):
+                        sums = {}
+                        for a in _cells_of(system, c.vars):
+                            k, p = tuple(a[v] for v in keep), c.eval(a)
+                            sums[k] = s.sum(sums[k], p) if k in sums else p
+                        got = project(c, keep)
+                        for a in _cells_of(system, c.vars):
+                            assert got.eval(a) == sums[tuple(a[v] for v in keep)], (c.vars, keep)
 
 
 def _lowered(c1, c2, cells):
@@ -1093,6 +1121,26 @@ def test_entailment_not_transitive_for_weighted():
     assert not entails(c1, goal)  # but cost 3 does not reach cost 4
     w = entails_witness(c1, goal)
     assert w is not None and refutes_entailment(c1, goal, w)
+
+
+def test_witness_is_the_first_counterexample_in_domain_order():
+    # seeded sets over domains declared out of rank order: the witness is
+    # the first refuting cell of the union of supports, walked in sorted
+    # variable order and in the order the domain declares its atoms
+    found = 0
+    for s in ALL_SEMIRINGS:
+        for domain in (("c", "a", "b"), (2, "a", 0)):
+            system = ConstraintSystem(s, domain)
+            rng = random.Random(repr(("witness", s.kind, domain)))
+            for _ in range(40):
+                cs = [rand_constraint(system, rng) for _ in range(rng.randrange(1, 4))]
+                c = rand_constraint(system, rng)
+                union = sorted({v for f in cs + [c] for v in f.vars})
+                cells = (dict(zip(union, key)) for key in itertools.product(domain, repeat=len(union)))
+                first = next((a for a in cells if refutes_entailment(cs, c, a)), None)
+                assert entails_witness(cs, c) == first
+                found += first is not None
+    assert found > 100
 
 
 def test_entails_empty_set_rejected():

@@ -40,6 +40,7 @@ from softcc import (
     pointwise_eq,
     pretty_program,
     project,
+    refutes_entailment,
     run_all,
     run_one,
     solve_bb,
@@ -153,6 +154,30 @@ def test_ask_hangs_when_not_entailed():
     # and the store genuinely does not entail what the ask wanted
     assert not rec.store.entails(blocked[0])
     assert rec.store.witness(blocked[0]) is not None
+
+
+@pytest.mark.parametrize("default", [None, 0.05])
+def test_witness_answers_on_the_eight_variable_ring(default):
+    # eight tells round a ring of twelve atoms, then an ask they do not
+    # entail: the witness pins one variable at a time, so it answers
+    # without the 12^8 cells of the joint table, dense or with a default
+    n = 12
+    rows = " ".join(
+        f"({i}, {j}) = {round(1 / (1 + abs(i - j)), 3)};" for i in range(n) for j in range(n)
+    )
+    tail = "" if default is None else f" default = {default};"
+    tells = " -> ".join(f"tell(c(x{k}, x{(k + 1) % 8}))" for k in range(8))
+    p = parse_program(
+        f"semiring fuzzy;\ndomain {{{', '.join(map(str, range(n)))}}};\n"
+        f"var {', '.join(f'x{k}' for k in range(8))};\n"
+        f"constraint c(x, y) {{ {rows}{tail} }}\n"
+        f"agent = {tells} -> ask(c(x0, x4)) -> stop;\n"
+    )
+    rec = single(run_all(p), "hang")
+    (asked,) = rec.config.blocked
+    w = rec.store.witness(asked)
+    assert sorted(w) == [f"x{k}" for k in range(8)]
+    assert refutes_entailment(list(rec.store.factors), asked, w)
 
 
 def test_cut_threshold_tell():
