@@ -15,6 +15,7 @@ or validation errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -199,11 +200,8 @@ def cmd_bb(args) -> int:
     session = _Session(program.system)
     obs = observables_of(program, run_all(program, limits, _session=session))
     psi, stats = solve_bb(program, limits, _session=session)
-    doc = observables_json(obs, bb=stats)
-    doc["dk_solution"] = constraint_json(psi)
-    lines = _observe_lines(obs, bb=stats)
-    lines = [f"dk: {constraint_text(psi)}" if ln.startswith("dk: ") else ln for ln in lines]
-    _emit(args, doc, lines)
+    obs = dataclasses.replace(obs, dk_solution=psi)  # printed as observe prints its dk
+    _emit(args, observables_json(obs, bb=stats), _observe_lines(obs, bb=stats))
     return _flags_code(obs)
 
 

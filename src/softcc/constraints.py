@@ -203,24 +203,17 @@ class Constraint:
         return self._supp
 
     def pruned(self) -> "Constraint":
-        """The same function restricted to its computed support."""
+        """The same function restricted to its computed support: the
+        projection hiding its dead variables.  A dead variable's extensions
+        of a kept key all take one value, so the projection keeps the
+        variables in order, each kept key's first listed row (+ returns its
+        first argument on a tie), and the stored default, and it drops rows
+        equal to that default."""
         supp = self._supp if self._supp is not None else self.support()
         if len(supp) == len(self.vars):
             return self  # caching self would make a cycle only the cycle collector frees
         if self._pruned is None:
-            keep = [i for i, v in enumerate(self.vars) if v in supp]
-            new_vars = tuple(self.vars[i] for i in keep)
-            s = self.system.semiring
-            new_table = {}
-            for key, val in self.table.items():
-                nk = tuple(key[i] for i in keep)
-                if nk not in new_table:
-                    new_table[nk] = val
-            if self.default is not None:
-                new_table = {
-                    k: v for k, v in new_table.items() if not s.eq(v, self.default)
-                }
-            self._pruned = Constraint._unchecked(self.system, new_vars, new_table, self.default)
+            self._pruned = project(self, [v for v in self.vars if v in supp])
         return self._pruned
 
     # -- canonical form and equality ----------------------------------

@@ -11,17 +11,19 @@ counted per pass of that workload.
 
 x is commutative and associative, so schedules that tell the same
 constraints in other orders reach pointwise-equal stores.  Within one
-``run_all`` call or branch-and-bound session, such stores share their
-"pw" key and entailment and cut answers (network: 190 ``tensor`` calls
-become 50; genprog: 8,751 ``combine_project`` calls become 6,097, and a
-session shared by the branch-and-bound passes saves 316 more); factors
-and a wide store's "fs" key, the multiset of its factors' keys, follow
-the order of folding and stay each store's own.  x distributes over +,
-so there entailment and best level also split a store into its
-components, the factors joined by shared variables: a component that
-shares no variable with the asked constraint enters as its best level, a
-scalar, from the session's table (network: 820 ``project`` calls become
-76), and a tell changes only the components it touches.  ``project``,
+``run_all`` call or branch-and-bound session, such stores share one
+record of their "pw" key and entailment answers (network: 190 ``tensor``
+calls become 50; genprog: 8,751 ``combine_project`` calls become 6,097,
+and a session shared by the branch-and-bound passes saves 316 more); a
+cut answer is entailment plus a test of that key.  Factors and a wide
+store's "fs" key, the multiset of its factors' keys, follow the order of
+folding and stay each store's own.  x distributes over +, so there
+entailment and best level also split a store into its components, the
+factors joined by shared variables: a component that shares no variable
+with the asked constraint enters as its best level, a scalar, from the
+session's level table (network: 820 ``project`` calls become 76), and a
+tell changes only the components it touches.  The session owns both
+tables, and each record holds its session.  ``project``,
 ``materialize``, ``key`` and ``witness`` never split, as their results
 are printed or keyed.  Stores built any other way share nothing and
 project whole.
@@ -133,23 +135,22 @@ _POINTWISE_CELLS = 4096
 
 class _Answers:
     """What a store's pointwise value alone decides: its "pw" key and its
-    entailment and cut answers.
+    entailment answers.
 
     ``told`` is the multiset of keys told since an empty root: the set of
     them, and those told more than once with their counts (none when x is
     idempotent, as a repeat then leaves the store as it is).  Stores grown
-    from one session's root share the record of their multiset through
-    ``table``, the session's; any other store has a record of its own, with
-    no table.
+    from one session's root share the record of their multiset, kept in
+    the ``answers`` table of ``session``; any other store has a record of
+    its own, with no session.
     """
 
-    __slots__ = ("table", "told", "pw", "entails", "below", "__weakref__")
+    __slots__ = ("session", "told", "pw", "entails", "__weakref__")
 
-    def __init__(self, table=None, told=None):
-        self.table, self.told, self.pw = table, told, None
-        self.entails, self.below = {}, {}
-        if table is not None:
-            table[told] = self
+    def __init__(self, session=None, told=None):
+        self.session, self.told, self.pw, self.entails = session, told, None, {}
+        if session is not None:
+            session.answers[told] = self
 
     def after(self, ck, told) -> "_Answers":
         """The shared record of a store told ck on top of this one's, with
@@ -159,8 +160,8 @@ class _Answers:
             counts = dict(more)
             counts[ck] = counts.get(ck, 1) + 1
             more = frozenset(counts.items())
-        got = self.table.get((told, more))
-        return _Answers(self.table, (told, more)) if got is None else got
+        got = self.session.answers.get((told, more))
+        return _Answers(self.session, (told, more)) if got is None else got
 
 
 class Store:
@@ -170,29 +171,24 @@ class Store:
     of each given factor); x is intensive, so the store entails each one.
 
     Stores of one session told alike share their pointwise answers (see
-    ``_Answers``) and their components' best levels (see ``_split``).  Two
-    stores are equal when their keys are; two pointwise keyed stores that
-    share one record are equal without a key, as the record holds the "pw"
-    key of both.  What a leaf agent does at the store is memoised by
+    ``_Answers``), and all its stores share its components' best levels
+    (see ``_split``).  Two stores are equal when their keys are; two
+    pointwise keyed stores that share one record are equal without a key,
+    as the record holds the "pw" key of both.  What a leaf agent does at the store is memoised by
     ``run_all``, not here, so that no store keeps the stores its runs
     reached alive.
     """
 
     __slots__ = (
-        "system", "factors", "told", "_key", "_hash", "_narrow", "_ans", "_comps", "_levels",
-        "__weakref__",
+        "system", "factors", "told", "_key", "_hash", "_narrow", "_ans", "_comps", "__weakref__",
     )
 
-    def __init__(
-        self, system, factors: Tuple[Constraint, ...] = (), told=None, *, _answers=None, _levels=None
-    ):
+    def __init__(self, system, factors: Tuple[Constraint, ...] = (), told=None, *, _answers=None):
         self.system = system
         self.factors = factors
         self.told = frozenset(f.canonical_key() for f in factors) if told is None else told
         self._key = self._hash = self._narrow = self._comps = None
         self._ans = _Answers() if _answers is None else _answers
-        # a session's frozenset of component factor ids -> (factors, best level)
-        self._levels = _levels
 
     def tell(self, c: Constraint) -> "Store":
         """The store after combining c in.
@@ -213,7 +209,7 @@ class Store:
             return self
         told = self.told if known else self.told | {ck}
         ans = self._ans
-        answers = None if ans.table is None else ans.after(ck, told)
+        answers = None if ans.session is None else ans.after(ck, told)
         cv = set(c.vars)
         for i, f in enumerate(self.factors):
             if cv.issubset(f.vars):
@@ -223,7 +219,7 @@ class Store:
             inside = [f for f in self.factors if cv.issuperset(f.vars)]
             rest = tuple(f for f in self.factors if not cv.issuperset(f.vars))
             folded = rest + (tensor_all(inside + [c], self.system),)
-        return Store(self.system, folded, told, _answers=answers, _levels=self._levels)
+        return Store(self.system, folded, told, _answers=answers)
 
     def vars(self) -> tuple:
         factors = self.factors
@@ -297,10 +293,11 @@ class Store:
         """The factors of the components that touch keep, and the x of
         every other component's best level; None off a session, for one
         component (a tell would mostly replace its entry before a read),
-        and when every component touches keep.  Each ``_levels`` entry pins
-        its factors, so their ids stay their own.
+        and when every component touches keep.  Each entry of the session's
+        ``levels`` pins its factors, so their ids stay their own.
         """
-        if self._levels is None or len(self.factors) < 2:
+        session = self._ans.session
+        if session is None or len(self.factors) < 2:
             return None
         comps = self._comps
         if comps is None:
@@ -316,7 +313,7 @@ class Store:
         near = [f for vs, fs in comps if not vs.isdisjoint(keep) for f in fs]
         if len(comps) < 2 or len(near) == len(self.factors):
             return None
-        s, levels = self.system.semiring, self._levels
+        s, levels = self.system.semiring, session.levels
         level = s.one
         for vs, fs in comps:
             if vs.isdisjoint(keep):
@@ -333,15 +330,11 @@ class Store:
         return entails_witness(list(factors), c)
 
     def below_cut(self, phi: Constraint) -> bool:
-        ck = phi.canonical_key()
-        below = self._ans.below
-        got = below.get(ck)
-        if got is None:
-            # only a store that entails phi can lie below it, and entailment
-            # needs no joint table; then it is strictly below unless it is
-            # phi itself, which the canonical key decides (see pointwise_eq)
-            got = below[ck] = self.entails(phi) and ck != self._pw()[1]
-        return got
+        """Whether the store lies strictly below phi.  Only a store that
+        entails phi can, and entailment needs no joint table; then it is
+        strictly below unless it is phi itself, which the "pw" key decides
+        (see pointwise_eq).  Both answers are the record's."""
+        return self.entails(phi) and phi.canonical_key() != self._pw()[1]
 
     def project(self, keep) -> Constraint:
         """The store projected onto keep."""
@@ -635,17 +628,18 @@ def initial_configuration(program: Program) -> Configuration:
 
 
 class _Session:
-    """One root store for several explorations of one system.  The stores
-    grown from it share their pointwise answers through ``answers``, a
-    table from told multiset to record (see ``_Answers``), and one table of
-    component best levels (see ``Store._split``).  Both tables live as long
-    as the session, so a later exploration finds the answers of an earlier
-    one; the stores go with the exploration that reached them."""
+    """One root store for several explorations of one system, and the
+    tables its stores share: ``answers``, from told multiset to record (see
+    ``_Answers``), and ``levels``, from a frozenset of component factor ids
+    to (factors, best level) (see ``Store._split``).  Each store reaches
+    the session through its record.  Both tables live as long as the
+    session, so a later exploration finds the answers of an earlier one;
+    the stores go with the exploration that reached them."""
 
     def __init__(self, system):
         self.answers: Dict = {}
-        root = _Answers(self.answers, (frozenset(), frozenset()))
-        self.root = Store(system, _answers=root, _levels={})
+        self.levels: Dict = {}
+        self.root = Store(system, _answers=_Answers(self, (frozenset(), frozenset())))
 
 
 def run_all(

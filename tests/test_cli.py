@@ -1,18 +1,23 @@
 """The scc command line: commands, formats, exit codes."""
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import pathlib
 import random
+import re
 import resource
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
 import pytest
+from genprog import SEMIRINGS, gen_cyclic_program_text, gen_program_text
 
 from softcc import PROBABILISTIC, WEIGHTED, cli, value_json
 from softcc.lang import format_value
@@ -276,6 +281,66 @@ def test_odd_literals_and_encodings_are_clean_errors(tmp_path, cmd, text):
     assert "Traceback" not in got.stderr
     lines = got.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("scc: error: "), got.stderr
+
+
+# seeded text mutations: each is truncated, loses, repeats or swaps a token,
+# or takes in a literal no float or int holds, or one that is rounded to zero
+TEXT_MUTATIONS = ("truncate", "delete", "duplicate", "swap", "literal")
+ODD_LITERALS = ("1e400", "1e-400", "2e308", "9" * 5000)
+_TOKEN = re.compile(r"::|->|\|\||[\w.]+|\S")
+
+
+def mutated_texts(seed, count):
+    """count seeded mutations of the fixtures and of generated programs,
+    each of a source drawn at random; the kinds of mutation take turns, and
+    so do the literals, so a short draw meets every kind and literal."""
+    rng = random.Random(seed)
+    sources = [f.read_text(encoding="utf-8") for f in sorted(FIXTURES.glob("*.scc"))]
+    sources += [gen_program_text(rng, allow_hang=True) for _ in range(4)]
+    sources += [gen_cyclic_program_text(rng, semiring) for semiring in SEMIRINGS]
+    for i in range(count):
+        text = rng.choice(sources)
+        spans = [m.span() for m in _TOKEN.finditer(text)]
+        (a, b), (c, d) = sorted(rng.sample(spans, 2))
+        kind = TEXT_MUTATIONS[i % len(TEXT_MUTATIONS)]
+        if kind == "truncate":
+            yield text[: rng.randrange(len(text))]
+        elif kind == "delete":
+            yield text[:a] + text[b:]
+        elif kind == "duplicate":
+            yield text[:b] + " " + text[a:b] + text[b:]
+        elif kind == "swap":
+            yield text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+        else:
+            numbers = [(a, b) for a, b in spans if text[a].isdecimal()] or spans
+            a, b = rng.choice(numbers)
+            yield text[:a] + ODD_LITERALS[i // len(TEXT_MUTATIONS) % len(ODD_LITERALS)] + text[b:]
+
+
+def check_mutated_texts(directory, seed, count) -> Counter:
+    """``scc check`` in process on each of ``mutated_texts(seed, count)``:
+    it prints ok and exits 0, or prints one ``scc: error:`` line and exits
+    1, and raises nothing.  Returns the count of each exit code."""
+    path = pathlib.Path(directory) / "mutated.scc"
+    codes = Counter()
+    for text in mutated_texts(seed, count):
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["check", str(path)])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert (out.getvalue(), lines) == ("ok\n", []), text
+        else:
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("scc: error: "), text
+        codes[code] += 1
+    return codes
+
+
+def test_mutated_texts_check_cleanly(tmp_path):
+    # a larger draw runs as a CI step of its own
+    codes = check_mutated_texts(tmp_path, "text-mutations", 150)
+    assert codes[1] > 100 and codes[0] > 0
 
 
 def test_check_syntax_error_position(tmp_path, capsys):

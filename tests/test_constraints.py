@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -160,6 +161,55 @@ def test_support_drops_constant_columns():
     assert k.support() == frozenset()
     d = sys2.diagonal("x", "y")
     assert d.support() == frozenset({"x", "y"})
+
+
+def _pruned_form(c):
+    """The form of ``pruned`` by a row walk of its own: the support's
+    variables in their order, the first listed row per kept key, rows equal
+    to the stored default dropped, and that default kept.  Each value comes
+    with its text, so a decimal's exponent shows."""
+    supp = c.support()
+    keep = [i for i, v in enumerate(c.vars) if v in supp]
+    table = {}
+    for key, val in c.table.items():
+        table.setdefault(tuple(key[i] for i in keep), val)
+    rows = [(k, v, str(v)) for k, v in table.items() if c.default is None or v != c.default]
+    return tuple(c.vars[i] for i in keep), rows, c.default, str(c.default)
+
+
+def test_pruned_keeps_its_form():
+    # combine_project returns a lone factor as its pruned self, and scc run
+    # and scc observe print that form.  Tables with dead columns, dense or
+    # sparse with a zero or a nonzero default, list rows equal to their
+    # default and write one decimal two ways (0.5 and 0.50)
+    rng = random.Random("pruned-form")
+    seen = Counter()
+    for system in small_systems():
+        s = system.semiring
+        for shape in ("dense", "zero", "nonzero") * 15:
+            live = rng.sample(("x", "y"), rng.randrange(0, 3))
+            dead = rng.sample(("u", "v"), rng.randrange(1, 3))
+            vs = tuple(rng.sample(live + dead, len(live) + len(dead)))
+            values = [s.sample(rng) for _ in range(2)]
+            f = {k: rng.choice(values) for k in itertools.product(system.domain, repeat=len(live))}
+            default = None if shape == "dense" else s.zero
+            while shape == "nonzero" and default == s.zero:
+                default = rng.choice(values + [s.sample(rng)])
+            table = {}
+            for key in itertools.product(system.domain, repeat=len(vs)):
+                val = f[tuple(key[vs.index(v)] for v in live)]
+                if isinstance(val, Decimal) and rng.random() < 0.5:
+                    val += Decimal("0.00")  # the same value with another exponent
+                if default is None or val != default or rng.random() < 0.5:
+                    table[key] = val
+            c = Constraint(system, vs, table, default)
+            p = c.pruned()
+            rows = [(k, v, str(v)) for k, v in p.table.items()]
+            assert (p.vars, rows, p.default, str(p.default)) == _pruned_form(c)
+            assert pointwise_eq(p, c)
+            seen[shape] += len(p.vars) < len(vs)
+            seen["default listed"] += any(v == default for v in table.values())
+    assert min(seen.values()) > 20, seen
 
 
 def test_canonical_key_identifies_functions():

@@ -66,6 +66,7 @@ from softcc.lang import (
     Sum,
     Tell,
     substitute,
+    walk,
 )
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -790,7 +791,7 @@ def test_stores_told_alike_share_pointwise_answers():
                         want = strictly_below(joint, phi)
                         assert shared.below_cut(phi) == alone.below_cut(phi) == want
                 finals.append(shared)
-                assert alone._ans.table is None
+                assert alone._ans.session is None
             assert len({id(f._ans) for f in finals}) == 1  # one record for every order
         if not idempotent:
             c = rand_constraint(system, rng)
@@ -830,10 +831,45 @@ def test_wide_stores_told_alike_keep_their_own_factor_keys():
 def test_only_explorations_share_answers():
     p = prog("(tell(c(x)) -> stop || tell(c(y)) -> stop)", DEEP_EXTRA)
     for rec in list(iter_runs(p)) + [run_one(p)]:
-        assert all(cfg.store._ans.table is None for _, cfg in rec.trace)
-    assert initial_configuration(p).store._ans.table is None
+        assert all(cfg.store._ans.session is None for _, cfg in rec.trace)
+    assert initial_configuration(p).store._ans.session is None
     for rec in run_all(p).records:
-        assert all(cfg.store._ans.table is not None for _, cfg in rec.trace)
+        assert all(cfg.store._ans.session is not None for _, cfg in rec.trace)
+
+
+def test_session_stores_answer_as_plain_stores_do():
+    # every store of an exploration answers through its session: a record
+    # shared by the stores told alike, and its components' best levels from
+    # the session's table.  The same factors outside a session project
+    # whole, and the joint table decides the cut answers of both
+    checked = Counter()
+    for semiring in SEMIRINGS:
+        for text, p in gen_cyclic_programs(f"cyclic-{semiring}", 4, semiring):
+            for n in (6, 10):
+                records = run_all(p, RunLimits(max_steps=n, max_fresh_vars=3)).records
+                configs = [cfg for rec in records for _, cfg in rec.trace]
+                told, cuts = {}, {}  # canonical key -> constraint
+                for cfg in configs:
+                    for node in walk(cfg.agent) if cfg.agent is not None else ():
+                        if isinstance(node, (Tell, Ask)):
+                            c = p.resolve(node.con)
+                            told[c.canonical_key()] = c
+                            if isinstance(node.threshold, Cut):
+                                phi = p.threshold_constraint(node.threshold)
+                                cuts[phi.canonical_key()] = phi
+                for store in {id(cfg.store): cfg.store for cfg in configs}.values():
+                    plain = Store(p.system, store.factors)
+                    joint = plain.materialize()
+                    assert store.blevel() == plain.blevel(), text
+                    for c in told.values():
+                        checked["split"] += store._split(c.vars) is not None
+                        assert store.entails(c) == plain.entails(c), text
+                    # a told constraint can equal the store: below_cut's key test
+                    for phi in [*cuts.values(), *told.values()]:
+                        want = strictly_below(joint, phi)
+                        assert store.below_cut(phi) == plain.below_cut(phi) == want, text
+                        checked[want] += 1
+    assert checked["split"] > 30 and checked[True] > 30 and checked[False] > 30
 
 
 def test_run_all_frees_its_stores_and_records(monkeypatch):
@@ -853,8 +889,8 @@ def test_run_all_frees_its_stores_and_records(monkeypatch):
     result = run_all(p)
     store = result.records[0].store
     ((session, table_id),) = sessions
-    assert id(store._ans.table) == table_id
-    assert store._ans.table[store._ans.told] is store._ans
+    assert id(store._ans.session.answers) == table_id
+    assert store._ans.session.answers[store._ans.told] is store._ans
     refs = [weakref.ref(store), weakref.ref(store._ans), session]
     del result, store
     gc.collect()
