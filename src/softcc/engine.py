@@ -171,12 +171,12 @@ class Store:
     of each given factor); x is intensive, so the store entails each one.
 
     Stores of one session told alike share their pointwise answers (see
-    ``_Answers``), and all its stores share its components' best levels
-    (see ``_split``).  Two stores are equal when their keys are; two
-    pointwise keyed stores that share one record are equal without a key,
-    as the record holds the "pw" key of both.  What a leaf agent does at the store is memoised by
-    ``run_all``, not here, so that no store keeps the stores its runs
-    reached alive.
+    ``_Answers``), and each reads its components' best levels from the
+    session (see ``_split``).  Two stores are equal when their keys are;
+    two pointwise keyed stores that share one record are equal without a
+    key, as the record holds the "pw" key of both.  What a leaf agent does
+    at the store is memoised by ``run_all``, not here, so that no store
+    keeps the stores its runs reached alive.
     """
 
     __slots__ = (
