@@ -9,24 +9,30 @@ what it derives from its own factors (key, hash, width and components);
 each cache below is kept for the work it saves on a benchmark workload,
 counted per pass of that workload.
 
+Two objects own the engine's tables.  A ``_Session`` owns the two that
+outlive one exploration, so that branch and bound's passes share them:
+``answers`` and ``levels``.  A ``_Context``, one per ``run_all`` call and
+passed to ``step`` and ``_leaf``, owns the rest: the state table and the
+leaf and unfold memos.  A store points at its record, and a record only
+at ``levels``, which points at no record; so reference counting alone
+frees a finished exploration.
+
 x is commutative and associative, so schedules that tell the same
-constraints in other orders reach pointwise-equal stores.  Within one
-``run_all`` call or branch-and-bound session, such stores share one
-record of their "pw" key and entailment answers (network: 190 ``tensor``
-calls become 50; genprog: 8,751 ``combine_project`` calls become 6,097,
-and a session shared by the branch-and-bound passes saves 316 more); a
-cut answer is entailment plus a test of that key.  Factors and a wide
-store's "fs" key, the multiset of its factors' keys, follow the order of
-folding and stay each store's own.  x distributes over +, so there
-entailment and best level also split a store into its components, the
-factors joined by shared variables: a component that shares no variable
-with the asked constraint enters as its best level, a scalar, from the
-session's level table (network: 820 ``project`` calls become 76), and a
-tell changes only the components it touches.  The session owns both
-tables, and each record holds its session.  ``project``,
-``materialize``, ``key`` and ``witness`` never split, as their results
-are printed or keyed.  Stores built any other way share nothing and
-project whole.
+constraints in other orders reach pointwise-equal stores.  The stores an
+exploration tells share one record of their "pw" key and entailment
+answers per told multiset (network: 190 ``tensor`` calls become 50;
+genprog: 8,751 ``combine_project`` calls become 6,097, and the session
+shared by the branch-and-bound passes saves 316 more); a cut answer is
+entailment plus a test of that key.  Factors and a wide store's "fs" key,
+the multiset of its factors' keys, follow the order of folding and stay
+each store's own.  x distributes over +, so there entailment and best
+level also split a store into its components, the factors joined by
+shared variables: a component that shares no variable with the asked
+constraint enters as its best level, a scalar, from ``levels`` (network:
+820 ``project`` calls become 76), and a tell changes only the components
+it touches.  ``project``, ``materialize``, ``key`` and ``witness`` never
+split, as their results are printed or keyed.  Stores built any other
+way share nothing and project whole.
 
 A configuration is an agent plus a store (plus the fresh-name counters a
 run has used).  ``step`` returns every rule application at once:
@@ -46,44 +52,37 @@ is classified Hang only when nothing anywhere can step.
 ``run_all`` explores every maximal run depth-first, deduplicating
 structurally identical configurations, detecting on-path repetition as
 divergence, and counting maximal runs exactly as path enumeration does.
-It numbers each configuration the first time it meets it, in one state
-table keyed by the configuration's head: its kind, agent, fresh counters
-and blocked asks.  A head holds its first store unhashed and becomes a
-dict from store to number only when a store unequal to it arrives, so a
-store is keyed only at a head that has met two different stores; stores
-told alike compare equal without a key (see ``Store``).  Its memo, its
-on-path set and its run-class rows hold these numbers.  The memo is
-exact: a configuration is memoised only when none of its runs met an
-on-path repeat or the step bound, with its height (the steps down to its
-deepest running configuration), and reused at depth d only while d +
-height stays below the step bound (genprog: 42,905 expansions become
-5,803; network does not finish without it).  Its traces are chains ((rule,
+``step`` numbers each target once in the state table, keyed by the
+configuration's head: its kind, agent, fresh counters and blocked asks.
+A head holds its first store unhashed and becomes a dict from store to
+number only when a store unequal to it arrives, so a store is keyed only
+at a head that has met two different stores; stores told alike compare
+equal without a key (see ``Store``).  The memo, the on-path set and the
+run-class rows hold these numbers.  The memo is exact: a
+configuration is memoised only when none of its runs met an on-path
+repeat or the step bound, with its height (the steps down to its deepest
+running configuration), and reused at depth d only while d + height
+stays below the step bound (genprog: 42,905 expansions become 5,803;
+network does not finish without it).  Its traces are chains ((rule,
 configuration), rest) ending in () that share their tails, flattened
 once, at the root.
 
 ``step`` is the engine's one step walk: one loop over the agent's Par
 and exists nodes that lifts each leaf's moves into edges.  A leaf (tell,
 ask, stop, choice or call) moves by looking at itself and the store
-alone: a choice's branches are asks, so no leaf opens an exists, and
-parallel composition lifts the move unchanged, with the counters of the
-component that moves.  So each ``run_all`` call owns a leaf memo, keyed
-by store identity and leaf: every leaf met again at the same store, in
-any configuration, costs one lookup, and a tell met again reuses its
-successor store (genprog: 25,819 ``_leaf`` calls become 12,300, and
-6,873 ``tensor`` calls 3,840).  Each entry pins its store, so the memo
-belongs to the exploration and not to the store, and the stores it holds
-are freed when the call ends.  Next to it, each call owns an unfold memo
-of the work that reads no store: a call's body, and a chain of binders
-opened under given fresh counters, with the counters after it.  So each
-call and binder unfolds once per exploration (network: 686
-``substitute`` calls become 32).  Both memos go with the call, even in a
-session: branch and bound's cut passes unfold one hash-consed call to
-different bodies.  ``iter_runs`` yields the runs
-one by one in leftmost order and keeps no memo, so it stays an
-independent oracle.
-``run_one`` follows a single run under a leftmost or seeded random
-policy; leftmost builds only the moves of the first component that can
-move.
+alone, as a choice's branches are asks, and parallel composition lifts
+the move unchanged.  So the leaf memo is keyed by store identity and
+leaf, and pins its stores: a leaf met again at a store costs one lookup,
+and a tell met again reuses its successor store (genprog: 25,819
+``_leaf`` calls become 12,300, and 6,873 ``tensor`` calls 3,840).  The
+unfold memo holds what reads no store: a call's body, and a chain of
+binders opened under given fresh counters (network: 686 ``substitute``
+calls become 32).  Neither goes on the session, as branch and bound's
+cut passes unfold one hash-consed call to different bodies.
+``iter_runs`` yields the runs one by one in leftmost order and keeps no
+memo, so it stays an independent oracle.  ``run_one`` follows a single
+run under a leftmost or seeded random policy; leftmost builds only the
+moves of the first component that can move.
 """
 
 from __future__ import annotations
@@ -139,29 +138,30 @@ class _Answers:
 
     ``told`` is the multiset of keys told since an empty root: the set of
     them, and those told more than once with their counts (none when x is
-    idempotent, as a repeat then leaves the store as it is).  Stores grown
-    from one session's root share the record of their multiset, kept in
-    the ``answers`` table of ``session``; any other store has a record of
-    its own, with no session.
+    idempotent, as a repeat then leaves the store as it is).  The stores an
+    exploration tells from its session's root share the record of their
+    multiset through the session's ``answers``, and each such record holds
+    the session's ``levels``, which holds no record.  Any other store has a
+    record of its own, with no levels.
     """
 
-    __slots__ = ("session", "told", "pw", "entails", "__weakref__")
+    __slots__ = ("levels", "told", "pw", "entails", "__weakref__")
 
-    def __init__(self, session=None, told=None):
-        self.session, self.told, self.pw, self.entails = session, told, None, {}
-        if session is not None:
-            session.answers[told] = self
+    def __init__(self, levels=None, told=None):
+        self.levels, self.told, self.pw, self.entails = levels, told, None, {}
 
-    def after(self, ck, told) -> "_Answers":
-        """The shared record of a store told ck on top of this one's, with
-        ``told`` its set of told keys."""
+    def after(self, ck, told, answers: Dict) -> "_Answers":
+        """The record in ``answers`` of a store told ck on top of this
+        one's, with ``told`` its set of told keys."""
         once, more = self.told
         if ck in once:
             counts = dict(more)
             counts[ck] = counts.get(ck, 1) + 1
             more = frozenset(counts.items())
-        got = self.session.answers.get((told, more))
-        return _Answers(self.session, (told, more)) if got is None else got
+        got = answers.get((told, more))
+        if got is None:
+            got = answers[told, more] = _Answers(self.levels, (told, more))
+        return got
 
 
 class Store:
@@ -170,27 +170,27 @@ class Store:
     ``told`` holds the canonical key of every told constraint (by default,
     of each given factor); x is intensive, so the store entails each one.
 
-    Stores of one session told alike share their pointwise answers (see
-    ``_Answers``), and each reads its components' best levels from the
-    session (see ``_split``).  Two stores are equal when their keys are;
-    two pointwise keyed stores that share one record are equal without a
-    key, as the record holds the "pw" key of both.  What a leaf agent does
-    at the store is memoised by ``run_all``, not here, so that no store
-    keeps the stores its runs reached alive.
+    Stores an exploration tells alike share their pointwise answers (see
+    ``_Answers``), and a session's stores read their components' best
+    levels from it (see ``_split``).  Two stores are equal when their keys
+    are; two pointwise keyed stores that share one record are equal without
+    a key, as the record holds the "pw" key of both.  What a leaf agent does
+    at the store is memoised by the exploration (see ``_Context``), so that
+    no store keeps the stores its runs reached alive.
     """
 
     __slots__ = (
         "system", "factors", "told", "_key", "_hash", "_narrow", "_ans", "_comps", "__weakref__",
     )
 
-    def __init__(self, system, factors: Tuple[Constraint, ...] = (), told=None, *, _answers=None):
+    def __init__(self, system, factors: Tuple[Constraint, ...] = (), told=None, *, _ans=None):
         self.system = system
         self.factors = factors
         self.told = frozenset(f.canonical_key() for f in factors) if told is None else told
         self._key = self._hash = self._narrow = self._comps = None
-        self._ans = _Answers() if _answers is None else _answers
+        self._ans = _Answers() if _ans is None else _ans
 
-    def tell(self, c: Constraint) -> "Store":
+    def tell(self, c: Constraint, *, _answers=None) -> "Store":
         """The store after combining c in.
 
         c folds into the first factor whose support contains its own, or
@@ -201,15 +201,16 @@ class Store:
         pointwise unchanged, so the store itself is returned; that keeps
         repeated tells recognizable as repeats.  Stores are not interned by
         ``key()``: equal keys can hide different variables, and so
-        successors on different sides of the pointwise cap.
+        successors on different sides of the pointwise cap.  Only an
+        exploration passes ``_answers``, its session's table of records; a
+        store told without it has a record of its own.
         """
         ck = c.canonical_key()
         known = ck in self.told
         if known and self.system.semiring.idempotent_times:
             return self
         told = self.told if known else self.told | {ck}
-        ans = self._ans
-        answers = None if ans.session is None else ans.after(ck, told)
+        ans = None if _answers is None else self._ans.after(ck, told, _answers)
         cv = set(c.vars)
         for i, f in enumerate(self.factors):
             if cv.issubset(f.vars):
@@ -219,7 +220,7 @@ class Store:
             inside = [f for f in self.factors if cv.issuperset(f.vars)]
             rest = tuple(f for f in self.factors if not cv.issuperset(f.vars))
             folded = rest + (tensor_all(inside + [c], self.system),)
-        return Store(self.system, folded, told, _answers=answers)
+        return Store(self.system, folded, told, _ans=ans)
 
     def vars(self) -> tuple:
         factors = self.factors
@@ -296,8 +297,8 @@ class Store:
         and when every component touches keep.  Each entry of the session's
         ``levels`` pins its factors, so their ids stay their own.
         """
-        session = self._ans.session
-        if session is None or len(self.factors) < 2:
+        levels = self._ans.levels
+        if levels is None or len(self.factors) < 2:
             return None
         comps = self._comps
         if comps is None:
@@ -313,8 +314,7 @@ class Store:
         near = [f for vs, fs in comps if not vs.isdisjoint(keep) for f in fs]
         if len(comps) < 2 or len(near) == len(self.factors):
             return None
-        s, levels = self.system.semiring, session.levels
-        level = s.one
+        s, level = self.system.semiring, self.system.semiring.one
         for vs, fs in comps:
             if vs.isdisjoint(keep):
                 ids = frozenset(map(id, fs))
@@ -407,15 +407,17 @@ _RULES = {
 }
 
 
-def _leaf(agent: Agent, store: Store, program: Program, unfolded: Dict):
+def _leaf(agent: Agent, store: Store, program: Program, ctx: Optional[_Context]):
     """The rule applications of a leaf, an agent that is neither a Par nor
     an exists: (moves, hang-candidates), each move a tuple (rule, kind,
-    agent, store, pruned).  They read the leaf and the store alone.  A
-    call's body is looked up in, or else added to, ``unfolded``."""
+    agent, store, pruned).  They read the leaf and the store alone.  With
+    ``ctx``, a tell shares records through the session's answers, and a
+    call's body comes from, or goes into, the unfold memo."""
     if isinstance(agent, (Tell, Ask)):
         fires, fails, waits = _RULES[type(agent), type(agent.threshold)]
         c = program.resolve(agent.con)
-        new = store.tell(c) if isinstance(agent, Tell) else store
+        answers = None if ctx is None else ctx.session.answers
+        new = store.tell(c, _answers=answers) if isinstance(agent, Tell) else store
         t = agent.threshold
         if isinstance(t, Level):  # a level built through the library may hold a float
             s = store.system.semiring
@@ -434,7 +436,7 @@ def _leaf(agent: Agent, store: Store, program: Program, unfolded: Dict):
     if isinstance(agent, Sum):
         proceeds, pruned, hangs = [], False, []
         for b in agent.branches:  # each an ask
-            m, h = _leaf(b, store, program, unfolded)
+            m, h = _leaf(b, store, program, ctx)
             for mv in m:
                 _, kind, _, _, cut = mv
                 if kind == "running":
@@ -449,6 +451,7 @@ def _leaf(agent: Agent, store: Store, program: Program, unfolded: Dict):
         return [], [("choice-hang", c) for _, c in hangs]
 
     if isinstance(agent, Call):
+        unfolded = {} if ctx is None else ctx.unfolded
         body = unfolded.get(agent)
         if body is None:
             d = program.decls.get(agent.name)
@@ -462,7 +465,7 @@ def _leaf(agent: Agent, store: Store, program: Program, unfolded: Dict):
     raise EngineError(f"not an agent: {agent!r}")
 
 
-def step(cfg: Configuration, program: Program, first=False, *, _memo=None) -> List[StepEdge]:
+def step(cfg: Configuration, program: Program, first=False, *, _ctx=None) -> List[StepEdge]:
     """Every rule application from a configuration, deduplicated.
 
     One walk over the Par and exists nodes with an explicit stack.  Each
@@ -470,32 +473,27 @@ def step(cfg: Configuration, program: Program, first=False, *, _memo=None) -> Li
     Par nodes above it, and its fresh counters as a sorted tuple; a run of
     directly nested binders opens with one substitution, on counters of the
     component's own.  Each move of a leaf is lifted through its ``up``
-    once and becomes an edge unless an earlier edge has the same target;
-    from the second edge on, the targets are numbered in a state table of
-    the step's own (see ``_number``).
+    once and becomes an edge unless an earlier edge has the same target,
+    as its number in a state table tells (see ``_number``).
 
     Terminal configurations have no successors.  A running configuration
     where nothing can move and at least one ask is waiting steps to Hang.
     With ``first``, the walk ends at the leftmost leaf that moves; the first
-    edge is the same.  ``_memo`` is ``run_all``'s pair (leaf memo, unfold
-    memo).  The leaf memo supplies the result of every leaf that already
-    met this store.  The unfold memo, which reads no store, supplies every
-    call's body and every binder chain's opening under given counters that
-    the exploration already built.  The edges are the same with or without
-    them.
+    edge is the same.  With ``_ctx``, ``run_all``'s ``_Context``, the step
+    numbers every target in its state table, reads its memos, and returns
+    (edges, the targets' numbers); the edges are the same.  Without it, the
+    step builds a table of its own at the second edge.
     """
     if cfg.kind != "running":
-        return []
+        return [] if _ctx is None else ([], [])
     store = cfg.store
-    at, unfolded = {}, {}
-    if _memo is not None:
-        leaves, unfolded = _memo
-        entry = leaves.get(id(store))
-        if entry is None:
-            entry = leaves[id(store)] = (store, at)  # the store is pinned, so its id stays its own
-        at = entry[1]
-    edges: List[StepEdge] = []
-    heads, targets, hangs = None, [], []
+    if _ctx is None:
+        heads, at, unfolded = None, {}, {}
+    else:
+        heads, targets, unfolded = _ctx.heads, _ctx.cfgs, _ctx.unfolded
+        # the store is pinned, so its id stays its own
+        at = _ctx.leaves.setdefault(id(store), (store, {}))[1]
+    edges, nums, hangs = [], [], []  # nums: the targets' numbers, once there is a table
     todo = [(cfg.agent, None, cfg.fresh)]
     while todo:
         a, up, fresh = todo.pop()
@@ -517,7 +515,7 @@ def step(cfg: Configuration, program: Program, first=False, *, _memo=None) -> Li
             continue
         got = at.get(a)
         if got is None:
-            got = at[a] = _leaf(a, store, program, unfolded)
+            got = at[a] = _leaf(a, store, program, _ctx)
         moves, waiting = got
         hangs += waiting
         for rule, kind, new, after, pruned in moves:
@@ -529,13 +527,14 @@ def step(cfg: Configuration, program: Program, first=False, *, _memo=None) -> Li
                     new = Par(new, other) if left else Par(other, new)
                 kind = "running"
             target = Configuration(kind, new, after, fresh)
-            if edges:  # number the targets from the second edge on
-                if heads is None:
-                    heads = {}
-                    _number(heads, targets, edges[0].target)
-                n = len(targets)
-                if _number(heads, targets, target) < n:
+            if heads is None and edges:  # a table of the step's own
+                heads, targets = {}, []
+                nums.append(_number(heads, targets, edges[0].target))
+            if heads is not None:
+                n = _number(heads, targets, target)
+                if n in nums:
                     continue  # an earlier edge reaches target
+                nums.append(n)
             edges.append(StepEdge(rule, target, pruned))
         if first and edges:
             break
@@ -544,7 +543,9 @@ def step(cfg: Configuration, program: Program, first=False, *, _memo=None) -> Li
         rule = hangs[0][0] if len(hangs) == 1 else "quiescence"
         target = Configuration("hang", cfg.agent, store, cfg.fresh, tuple(c for _, c in hangs))
         edges.append(StepEdge(rule, target))
-    return edges
+        if heads is not None:
+            nums.append(_number(heads, targets, target))
+    return edges if _ctx is None else (edges, nums)
 
 
 # -- run records --------------------------------------------------------
@@ -585,14 +586,14 @@ class RunResult:
 
 
 class _Frame:
-    __slots__ = ("rule", "cfg", "num", "depth", "edges", "idx", "agg", "height")
+    __slots__ = ("rule", "cfg", "num", "depth", "edges", "nums", "idx", "agg", "height")
 
-    def __init__(self, rule, cfg, num, depth, edges):
+    def __init__(self, rule, cfg, num, depth, edges, nums):
         self.rule = rule  # the rule of the edge that reached cfg
         self.cfg = cfg
         self.num = num  # cfg's number in the state table
         self.depth = depth
-        self.edges = edges
+        self.edges, self.nums = edges, nums  # step's edges and their targets' numbers
         self.idx = 0
         # (kind, number or None) -> [kind, number or None, trace, paths, pruned]
         self.agg: Dict = {}
@@ -628,18 +629,24 @@ def initial_configuration(program: Program) -> Configuration:
 
 
 class _Session:
-    """One root store for several explorations of one system, and the
-    tables its stores share: ``answers``, from told multiset to record (see
-    ``_Answers``), and ``levels``, from a frozenset of component factor ids
-    to (factors, best level) (see ``Store._split``).  Each store reaches
-    the session through its record.  Both tables live as long as the
-    session, so a later exploration finds the answers of an earlier one;
-    the stores go with the exploration that reached them."""
+    """One root store for several explorations of one system, and the two
+    tables that outlive each: ``answers``, from told multiset to record
+    (see ``_Answers``), and ``levels``, from a frozenset of component
+    factor ids to (factors, best level) (see ``Store._split``)."""
 
     def __init__(self, system):
-        self.answers: Dict = {}
-        self.levels: Dict = {}
-        self.root = Store(system, _answers=_Answers(self, (frozenset(), frozenset())))
+        self.answers, self.levels = {}, {}
+        self.root = Store(system, _ans=_Answers(self.levels, (frozenset(), frozenset())))
+
+
+class _Context:
+    """One exploration's tables, passed to ``step`` and ``_leaf``: the state
+    table (``heads``, ``cfgs``; see ``_number``), the leaf memo (id(store)
+    -> (store, {leaf: (moves, waiting)})) and the unfold memo (call -> body,
+    (exists, fresh) -> (opened agent, fresh)); and the session."""
+
+    def __init__(self, session: _Session):
+        self.session, self.heads, self.cfgs, self.leaves, self.unfolded = session, {}, [], {}, {}
 
 
 def run_all(
@@ -660,20 +667,14 @@ def run_all(
 
     ``_session``, a private ``_Session``, supplies the root store, and so
     the answers of earlier explorations; without one, the call runs in a
-    session of its own.  The call owns its leaf and unfold memos (see the
-    module docstring), and they go with it.
+    session of its own.  The call's ``_Context`` goes with it.
     """
     main = _main(program)
-    session = _Session(program.system) if _session is None else _session
-    # the leaf memo: id(store) -> (store, {leaf: (moves, waiting)}), and the
-    # unfold memo: call -> body, and (exists, fresh) -> (opened agent, fresh)
-    step_memo = {}, {}
-    init = Configuration("running", main, session.root)
-    heads: Dict = {}  # the state table, see _number
-    cfgs: List[Configuration] = []
+    ctx = _Context(_Session(program.system) if _session is None else _session)
+    init = Configuration("running", main, ctx.session.root)
     memo: Dict[int, Tuple[list, int]] = {}  # number -> (rows, height)
-    onpath = {_number(heads, cfgs, init)}
-    root = _Frame(None, init, 0, 0, step(init, program, _memo=step_memo))
+    onpath = {_number(ctx.heads, ctx.cfgs, init)}
+    root = _Frame(None, init, 0, 0, *step(init, program, _ctx=ctx))
     expansions = 1
     stack = [root]
     stopped = False
@@ -681,10 +682,9 @@ def run_all(
     while stack:
         f = stack[-1]
         if f.idx < len(f.edges) and not stopped:
-            edge = f.edges[f.idx]
+            edge, n = f.edges[f.idx], f.nums[f.idx]
             f.idx += 1
             rule, nxt = edge.rule, edge.target
-            n = _number(heads, cfgs, nxt)
             if nxt.kind != "running":
                 _merge(f.agg, nxt.kind, n, ((rule, nxt), ()), 1, int(edge.pruned))
                 stopped = nxt.kind == "success" and stop is not None and stop(nxt.store)
@@ -703,7 +703,7 @@ def run_all(
                     f.height = math.inf  # the verdict depends on the depth
                 _merge(f.agg, "bound_exceeded", None, ())
                 continue
-            stack.append(_Frame(rule, nxt, n, f.depth + 1, step(nxt, program, _memo=step_memo)))
+            stack.append(_Frame(rule, nxt, n, f.depth + 1, *step(nxt, program, _ctx=ctx)))
             expansions += 1
             onpath.add(n)
             continue

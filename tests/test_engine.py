@@ -49,7 +49,7 @@ from softcc import (
     tensor_all,
 )
 from softcc import constraints
-from softcc.engine import _Session
+from softcc.engine import _Answers, _Context, _Session
 from softcc.lang import (
     Agent,
     Ask,
@@ -570,12 +570,12 @@ def test_solve_bb_frees_its_session_stores(monkeypatch):
         return original(*args, _session=_session, **kwargs)
 
     monkeypatch.setattr(observe_module, "run_all", recording)
-    _, stats = solve_bb(prog(*BB_CALL_PROGRAMS[0]))
-    assert stats.iterations >= 1
-    assert len(roots) == stats.iterations + 1
+    p, stats = prog(*BB_CALL_PROGRAMS[0]), []
+    kinds = freed_without_the_collector(monkeypatch, lambda: stats.append(solve_bb(p)[1]))
+    assert kinds["_Session"] == 1 and kinds["_Answers"] >= 3
+    assert stats[0].iterations >= 1
+    assert len(roots) == stats[0].iterations + 1
     assert len({root_id for root_id, _ in roots}) == 1  # one root store for every pass
-    gc.collect()
-    assert roots[0][1]() is None
 
 
 def test_solve_bb_cuts_only_at_a_raised_bound(monkeypatch):
@@ -724,7 +724,7 @@ def test_store_components_answer_as_the_whole_store():
     # Off a session, as in iter_runs and run_one, a store projects whole.
     rng = random.Random("store-components")
     groups = (("p", "q"), ("r",), ("s", "t"), ("u",))
-    checked = merged = 0
+    checked = merged = split = 0
     for system in small_systems():
         s = system.semiring
 
@@ -734,9 +734,10 @@ def test_store_components_answer_as_the_whole_store():
         plain = Store(system).tell(con(("p",))).tell(con(("r",)))
         assert plain._split(()) is None
         for _ in range(3):
-            store = _Session(system).root
+            session = _Session(system)
+            store = session.root
             for g in rng.sample(groups, rng.randrange(2, 5)):
-                store = store.tell(con(g))
+                store = store.tell(con(g), _answers=session.answers)
             stores = [store]
             for _ in range(10):
                 store = rng.choice(stores)
@@ -748,7 +749,7 @@ def test_store_components_answer_as_the_whole_store():
                 else:
                     g = sorted(rng.choice(comps))
                     vs = tuple(rng.sample(g, rng.randrange(1, len(g) + 1)))
-                stores.append(store.tell(con(vs)))
+                stores.append(store.tell(con(vs), _answers=session.answers))
             for store in stores:
                 factors, comps = store.factors, _components(store.factors)
                 assert 2 <= len(comps) <= 4
@@ -761,19 +762,27 @@ def test_store_components_answer_as_the_whole_store():
                     con((rng.choice(sorted(a)), rng.choice(sorted(b)))),  # touches two
                 ):
                     want = leqc(combine_project(factors, c.vars, system), c)
+                    split += store._split(c.vars) is not None
                     assert store.entails(c) == want
                     checked += 1
-    assert merged > 10 and checked > 1000
+    assert merged > 10 and checked > 1000 and split > 300
 
 
 def test_stores_told_alike_share_pointwise_answers():
-    # tell sequences in permuted orders, from one exploration's root, give
-    # every store the key, entailment and cut answers of the same fold from
-    # an unshared root and of the dense joint table; stores told the same
-    # multiset share one record, and repeats count where x is not idempotent
+    # tell sequences in permuted orders, from one session's root and through
+    # its answers table as an exploration tells, give every store the key,
+    # entailment and cut answers of the same fold from an unshared root and
+    # of the dense joint table; stores told the same multiset share one
+    # record, and repeats count where x is not idempotent.  A direct tell
+    # shares no record
     rng = random.Random("shared-answers")
     for system in small_systems():
-        root, idempotent = _Session(system).root, system.semiring.idempotent_times
+        session, idempotent = _Session(system), system.semiring.idempotent_times
+        root = session.root
+
+        def tell(store, c):
+            return store.tell(c, _answers=session.answers)
+
         for _ in range(6):
             told = [rand_constraint(system, rng) for _ in range(rng.randrange(1, 5))]
             told += rng.sample(told, rng.randrange(0, 2))  # a repeat, now and then
@@ -783,7 +792,7 @@ def test_stores_told_alike_share_pointwise_answers():
                 order = rng.sample(told, len(told))
                 shared, alone = root, Store(system)
                 for i, c in enumerate(order, 1):
-                    shared, alone = shared.tell(c), alone.tell(c)
+                    shared, alone = tell(shared, c), alone.tell(c)
                     joint = tensor_all(order[:i], system)
                     assert shared.key() == alone.key() == ("pw", joint.canonical_key())
                     for phi in probes + [project(joint, ("x",)), joint]:
@@ -791,15 +800,17 @@ def test_stores_told_alike_share_pointwise_answers():
                         want = strictly_below(joint, phi)
                         assert shared.below_cut(phi) == alone.below_cut(phi) == want
                 finals.append(shared)
-                assert alone._ans.session is None
+                assert alone._ans.levels is None
             assert len({id(f._ans) for f in finals}) == 1  # one record for every order
+            direct = root.tell(order[0])
+            assert direct._ans is not tell(root, order[0])._ans and direct._ans.levels is None
         if not idempotent:
             c = rand_constraint(system, rng)
-            once, twice = root.tell(c), root.tell(c).tell(c)
+            once, twice = tell(root, c), tell(tell(root, c), c)
             assert once._ans is not twice._ans
             d = rand_constraint(system, rng)
-            assert once.tell(d).tell(c)._ans is twice.tell(d)._ans
-            assert root.tell(d).tell(c)._ans is not twice.tell(d)._ans
+            assert tell(tell(once, d), c)._ans is tell(twice, d)._ans
+            assert tell(tell(root, d), c)._ans is not tell(twice, d)._ans
 
 
 def test_wide_stores_told_alike_keep_their_own_factor_keys():
@@ -813,12 +824,12 @@ def test_wide_stores_told_alike_keep_their_own_factor_keys():
 
     a, b, c = con("x", "y"), con("y", "z"), con("y")
     wide = [con(f"v{i}") for i in range(12)]
-    root = _Session(sysf).root
+    session = _Session(sysf)
     stores = []
     for order in ([a, b, c], [b, c, a]):
-        store = root
+        store = session.root
         for t in wide + order:
-            store = store.tell(t)
+            store = store.tell(t, _answers=session.answers)
         stores.append(store)
     s1, s2 = stores
     assert s1._ans is s2._ans and pointwise_eq(s1.materialize(), s2.materialize())
@@ -831,10 +842,11 @@ def test_wide_stores_told_alike_keep_their_own_factor_keys():
 def test_only_explorations_share_answers():
     p = prog("(tell(c(x)) -> stop || tell(c(y)) -> stop)", DEEP_EXTRA)
     for rec in list(iter_runs(p)) + [run_one(p)]:
-        assert all(cfg.store._ans.session is None for _, cfg in rec.trace)
-    assert initial_configuration(p).store._ans.session is None
-    for rec in run_all(p).records:
-        assert all(cfg.store._ans.session is not None for _, cfg in rec.trace)
+        assert all(cfg.store._ans.levels is None for _, cfg in rec.trace)
+    assert initial_configuration(p).store._ans.levels is None
+    # every store of one exploration reads its session's one levels table
+    levels = {id(cfg.store._ans.levels) for rec in run_all(p).records for _, cfg in rec.trace}
+    assert len(levels) == 1 and id(None) not in levels
 
 
 def test_session_stores_answer_as_plain_stores_do():
@@ -872,29 +884,135 @@ def test_session_stores_answer_as_plain_stores_do():
     assert checked["split"] > 30 and checked[True] > 30 and checked[False] > 30
 
 
-def test_run_all_frees_its_stores_and_records(monkeypatch):
-    # the answers table is a plain dict, which takes no weak reference; it
-    # holds each record it is given and never drops one, so a record of it
-    # that is freed shows the table freed.  Its owner, the session, goes too
-    engine_module = importlib.import_module("softcc.engine")
-    sessions = []
+def freed_without_the_collector(monkeypatch, explore):
+    """Call explore() with the cycle collector off and drop its result:
+    every session it made, the session's root store and answers table, and
+    each record that table was given must be freed by reference counting
+    alone, and a collection then finds no store, record or session.
+    Returns how many objects of each kind were watched."""
+    watched = []  # (kind, weak reference)
 
-    class Recorded(_Session):
-        def __init__(self, system):
-            super().__init__(system)
-            sessions.append((weakref.ref(self), id(self.answers)))
+    def watch(obj):
+        watched.append((type(obj).__name__, weakref.ref(obj)))
 
-    monkeypatch.setattr(engine_module, "_Session", Recorded)
-    p = prog("(tell(c(x)) -> stop || tell(c(y)) -> stop)", DEEP_EXTRA)
-    result = run_all(p)
-    store = result.records[0].store
-    ((session, table_id),) = sessions
-    assert id(store._ans.session.answers) == table_id
-    assert store._ans.session.answers[store._ans.told] is store._ans
-    refs = [weakref.ref(store), weakref.ref(store._ans), session]
-    del result, store
+    class Answers(dict):  # watches each record it is given
+        def __setitem__(self, key, record):
+            watch(record)
+            super().__setitem__(key, record)
+
+    made = _Session.__init__
+
+    def init(self, system):
+        made(self, system)
+        self.answers = Answers()
+        for obj in (self, self.root, self.answers):
+            watch(obj)
+
+    monkeypatch.setattr(_Session, "__init__", init)
     gc.collect()
-    assert [r() for r in refs] == [None, None, None]
+    gc.disable()
+    try:
+        result = explore()
+        del result
+        assert [kind for kind, ref in watched if ref() is not None] == []
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        assert [o for o in gc.garbage if isinstance(o, (Store, _Answers, _Session))] == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    return Counter(kind for kind, _ in watched)
+
+
+def check_trace_stores(seed, count) -> Counter:
+    """Replay each trace of run_all, on ``count`` cyclic programs per
+    semiring at two step bounds, off-session through the public step,
+    taking the edge whose rule and agent match the next configuration.
+    Each store along the trace must have the replayed store's key and best
+    level, and pointwise equal the product of the constraints told along
+    the trace, repeats included.  Returns the count of stores checked and
+    of repeated tells."""
+    checked, told_by = Counter(), {}  # id(store a tell returned) -> the constraint told
+    plain_tell = Store.tell
+
+    def tell(store, c, **kwargs):
+        new = plain_tell(store, c, **kwargs)
+        told_by[id(new)] = c
+        return new
+
+    # a cyclic program tells only on fresh variables, so never the same
+    # constraint twice; the terminating programs repeat tells
+    programs = gen_programs(seed, 4 * count)
+    for semiring in SEMIRINGS:
+        programs += gen_cyclic_programs(f"{seed}-{semiring}", count, semiring)
+    for text, p in programs:
+        for n in (6, 10):
+            for rec in run_all(p, RunLimits(max_steps=n, max_fresh_vars=3)).records:
+                cur, told = initial_configuration(p), []
+                for rule, cfg in rec.trace:
+                    told_by.clear()
+                    Store.tell = tell
+                    try:
+                        edges = step(cur, p)
+                    finally:
+                        Store.tell = plain_tell
+                    head = rule, cfg.kind, cfg.agent, cfg.fresh
+                    [cur] = [e.target for e in edges if (e.rule, *e.target[:2], e.target.fresh) == head]
+                    if rule in ("tell", "valued-tell", "eventual-tell"):
+                        c = told_by[id(cur.store)]
+                        checked["repeat"] += c.canonical_key() in {t.canonical_key() for t in told}
+                        told.append(c)
+                    store = cfg.store
+                    assert store.key() == cur.store.key(), text
+                    assert store.blevel() == cur.store.blevel(), text
+                    assert pointwise_eq(store.materialize(), tensor_all(told, p.system)), text
+                    checked["store"] += 1
+    return checked
+
+
+def test_stores_along_run_all_traces_are_their_told_products():
+    # a larger draw runs as a CI step of its own
+    checked = check_trace_stores("trace-stores", 3)
+    assert checked["store"] > 400 and checked["repeat"] >= 5, checked
+
+
+def check_determinate_confluence(seed, count) -> Counter:
+    """On the choice-free programs among ``count`` generated ones (eventual
+    thresholds, asks that may wait), every maximal run ends in one kind and
+    one projection onto the observed variables: tells commute, and an
+    entailed ask stays entailed.  Returns the count of programs checked per
+    semiring, and of those with more than one run."""
+    checked = Counter()
+    for text, p in gen_programs(seed, count, eventual_only=True, allow_hang=True):
+        if any(isinstance(node, Sum) for node in walk(p.main)):
+            continue
+        obs, ends = observation_vars(p), set()
+        runs = list(iter_runs(p))
+        for r in runs:
+            ends.add((r.kind, r.store.project(obs).canonical_key()))
+        assert len(ends) == 1, text
+        checked[text.split(";")[0].split()[1]] += 1  # "semiring <name>;"
+        checked["runs > 1"] += len(runs) > 1
+    return checked
+
+
+def test_determinate_programs_are_confluent():
+    # a larger draw runs as a CI step of its own
+    checked = check_determinate_confluence("determinate", 300)
+    assert all(checked[s] >= 5 for s in SEMIRINGS) and checked["runs > 1"] >= 15, checked
+
+
+def test_run_all_frees_its_stores_and_records(monkeypatch):
+    # a record points at its session's levels table, which points at no
+    # record, so nothing an exploration made waits for the cycle collector
+    p = prog("(tell(c(x)) -> stop || tell(c(y)) -> stop)", DEEP_EXTRA)
+    kinds = freed_without_the_collector(monkeypatch, lambda: run_all(p))
+    assert kinds["_Session"] == kinds["Store"] == kinds["Answers"] == 1
+    assert kinds["_Answers"] >= 3
+    network = parse_program((ROOT / "fixtures" / "network.scc").read_text())
+    kinds = freed_without_the_collector(monkeypatch, lambda: observe(network))
+    assert kinds["_Session"] == 1 and kinds["_Answers"] > 50
 
 
 def test_store_monotone_along_every_trace():
@@ -948,16 +1066,41 @@ def test_iter_runs_agrees_with_run_all():
         (prog(f"{chain} + ask(const(1)) -> {chain}", extra), RunLimits(max_steps=4)),
     ]
     for p, limits in cases:
-        listed = list(iter_runs(p, limits))
-        res = run_all(p, limits)
-        assert len(listed) == res.total_runs
-        assert kind_counts(res.records) == kind_counts(listed)
-        # stopped at a success, run_all counts the runs met up to it
-        for target in {r.store for r in listed if r.kind == "success"}:
-            end = 1 + next(i for i, r in enumerate(listed) if r.kind == "success" and r.store == target)
-            res = run_all(p, limits, stop=lambda store: store == target)
-            assert res.total_runs == end
-            assert kind_counts(res.records) == kind_counts(listed[:end])
+        assert_stop_matches_prefix(p, limits)
+
+
+def assert_stop_matches_prefix(p, limits) -> List[int]:
+    """run_all against iter_runs' list of runs: the same kind counts, and,
+    stopped at each distinct success store, the counts of the runs up to
+    and including its first.  Returns the stopping run counts."""
+    listed = list(iter_runs(p, limits))
+    res = run_all(p, limits)
+    assert len(listed) == res.total_runs
+    assert kind_counts(res.records) == kind_counts(listed)
+    ends = []
+    for target in {r.store for r in listed if r.kind == "success"}:
+        end = 1 + next(i for i, r in enumerate(listed) if r.kind == "success" and r.store == target)
+        res = run_all(p, limits, stop=lambda store: store == target)
+        assert res.total_runs == end
+        assert kind_counts(res.records) == kind_counts(listed[:end])
+        ends.append(end)
+    return ends
+
+
+def test_run_all_stops_where_path_enumeration_meets_the_store():
+    # every agent form, on- and off-path repeats and the step bound: each
+    # stop ends the run count at the first run that reaches its store.
+    # Successes are rare within nine steps; where two stores stop at
+    # different runs, a stop that ignored its test would show
+    stops, apart = 0, set()
+    for semiring in SEMIRINGS:
+        for text, p in gen_cyclic_programs(f"stop-prefix-4-{semiring}", 2, semiring):
+            for n in range(1, 10):
+                ends = assert_stop_matches_prefix(p, RunLimits(max_steps=n, max_fresh_vars=2))
+                stops += len(ends)
+                if len(set(ends)) > 1:
+                    apart.add((semiring, text))
+    assert stops > 10 and len(apart) >= 2, (stops, len(apart))
 
 
 # -- the leaf memo against path enumeration -------------------------------
@@ -1393,9 +1536,11 @@ def reference_moves(agent: Agent, store: Store, fresh: Dict[str, int], program: 
     raise EngineError(f"not an agent: {agent!r}")
 
 
-def assert_step_matches_reference(cfg, program, memo):
-    """Compare step with the reference at cfg, without memos and with
-    ``memo``, a pair (leaf memo, unfold memo) as run_all keeps one."""
+def assert_step_matches_reference(cfg, program, ctx):
+    """Compare step with the reference at cfg, without a context and with
+    ``ctx``, an exploration context as run_all keeps one: its state table
+    numbers each edge's target, a different number for each edge.  Returns
+    the edges taken with ``ctx``."""
     moves, hangs = reference_moves(cfg.agent, cfg.store, dict(cfg.fresh), program)
     want = []
     for mv in moves:
@@ -1403,27 +1548,31 @@ def assert_step_matches_reference(cfg, program, memo):
         target = Configuration(kind, mv.agent, mv.store, tuple(sorted(mv.fresh.items())))
         if target not in [t for _, t, _ in want]:
             want.append((mv.rule, target, mv.pruned))
-    for edges in (step(cfg, program), step(cfg, program, _memo=memo)):
+    in_ctx, nums = step(cfg, program, _ctx=ctx)
+    assert len(set(nums)) == len(nums) == len(in_ctx)
+    assert all(ctx.cfgs[n] == e.target for e, n in zip(in_ctx, nums))
+    for edges in (step(cfg, program), in_ctx):
         if want:
             assert [(e.rule, e.target, e.pruned) for e in edges] == want
             continue
         assert len(edges) == 1 and edges[0].target.kind == "hang"
         assert edges[0].rule == (hangs[0][0] if len(hangs) == 1 else "quiescence")
         assert edges[0].target.blocked == tuple(c for _, c in hangs)
+    return in_ctx
 
 
 def assert_walk_matches_reference(program, limits=RunLimits(max_steps=60)):
     """Compare step with the reference on every configuration reachable
     within the limits: the configurations iter_runs meets, each once.  One
-    leaf memo and one unfold memo serve the whole walk, so leaves met again
-    at a store, and calls and binders met again anywhere, are looked up, as
-    in run_all."""
-    init = initial_configuration(program)
-    seen, todo, memo = {init}, [(init, 0)], ({}, {})
+    context serves the whole walk from its session's root, so leaves met
+    again at a store, and calls and binders met again anywhere, are looked
+    up, and stores told alike share their records, as in run_all."""
+    ctx = _Context(_Session(program.system))
+    init = initial_configuration(program)._replace(store=ctx.session.root)
+    seen, todo = {init}, [(init, 0)]
     while todo:
         cfg, depth = todo.pop()
-        assert_step_matches_reference(cfg, program, memo)
-        for e in step(cfg, program):
+        for e in assert_step_matches_reference(cfg, program, ctx):
             nxt = e.target
             if nxt.kind == "running" and nxt not in seen and depth + 1 < limits.max_steps:
                 if nxt.fresh_total() <= limits.max_fresh_vars:
